@@ -4,11 +4,18 @@
 // Paper setup: n = 20k fixed, n_delta up to 10k; the reduced
 // transportation problem grows with n_delta while the SSSP stage grows
 // linearly in it, giving the figure's superlinear curve.
+//
+// Per-layer times come from the obs phase timers production uses: each
+// Compute runs under its own RequestTrace, and the sssp / transport
+// columns are that trace's phase_ns (SSSP work summed over pool lanes).
+// fig12.transport_share is transport's share of the edge-cost + SSSP +
+// transport work over the whole sweep.
 #include <cstdio>
 
 #include "bench_common.h"
 #include "snd/core/snd.h"
 #include "snd/graph/generators.h"
+#include "snd/obs/trace.h"
 #include "snd/opinion/evolution.h"
 #include "snd/util/stopwatch.h"
 #include "snd/util/table.h"
@@ -38,18 +45,26 @@ int main() {
   snd::SyntheticEvolution evolution(&graph, 52);
   const snd::NetworkState base = evolution.InitialState(num_nodes / 10);
 
+  auto phase_s = [](const snd::obs::RequestTrace& trace, snd::obs::ObsPhase p) {
+    return 1e-9 * static_cast<double>(
+                      trace.phase_ns[static_cast<int>(p)].load());
+  };
   snd::TablePrinter table({"n_delta", "total s", "sssp s", "transport s"});
+  double work = 0.0, transport_work = 0.0;
   for (int32_t n_delta : deltas) {
     const snd::NetworkState next =
         snd::RandomTransition(base, n_delta, evolution.rng());
+    snd::obs::RequestTrace trace;
     snd::Stopwatch watch;
-    const snd::SndResult result = calculator.Compute(base, next);
-    const double seconds = watch.ElapsedSeconds();
-    double sssp = 0.0, transport = 0.0;
-    for (const snd::SndTermResult& term : result.terms) {
-      sssp += term.sssp_seconds;
-      transport += term.transport_seconds;
+    {
+      const snd::obs::TraceScope scope(&trace);
+      calculator.Compute(base, next);
     }
+    const double seconds = watch.ElapsedSeconds();
+    const double sssp = phase_s(trace, snd::obs::ObsPhase::kSssp);
+    const double transport = phase_s(trace, snd::obs::ObsPhase::kTransport);
+    work += phase_s(trace, snd::obs::ObsPhase::kEdgeCost) + sssp + transport;
+    transport_work += transport;
     table.AddRow({snd::TablePrinter::Fmt(int64_t{n_delta}),
                   snd::TablePrinter::Fmt(seconds, 3),
                   snd::TablePrinter::Fmt(sssp, 3),
@@ -59,5 +74,7 @@ int main() {
   }
   std::printf("\n");
   table.Print();
+  snd::bench::PrintMetric("fig12.transport_share",
+                          work > 0.0 ? transport_work / work : 0.0);
   return 0;
 }

@@ -563,12 +563,10 @@ SndTermResult SndCalculator::ComputeTermReference(const TermSpec& spec) const {
   const std::vector<double> q = spec.to->OpinionIndicator(spec.op);
   EmdStarOptions emd_options;
   emd_options.apportionment = options_.apportionment;
-  Stopwatch watch;
   const obs::ObsSpan transport_span(obs::ObsPhase::kTransport);
   transport_solves_.fetch_add(1, std::memory_order_relaxed);
   obs::TraceCountTransportSolve();
   result.cost = ComputeEmdStar(p, q, ground, banks_, *solver_, emd_options);
-  result.transport_seconds = watch.ElapsedSeconds();
   return result;
 }
 
@@ -703,7 +701,6 @@ SndTermResult SndCalculator::ComputeTermFast(const TermSpec& spec,
     }
   };
 
-  Stopwatch sssp_watch;
   std::vector<double> supply, demand, cost;
   int32_t rows = 0, cols = 0;
 
@@ -784,16 +781,12 @@ SndTermResult SndCalculator::ComputeTermFast(const TermSpec& spec,
       }
     });
   }
-  result.sssp_seconds = sssp_watch.ElapsedSeconds();
-
   const TransportProblem problem(std::move(supply), std::move(demand),
                                  std::move(cost));
-  Stopwatch transport_watch;
   const obs::ObsSpan transport_span(obs::ObsPhase::kTransport);
   transport_solves_.fetch_add(1, std::memory_order_relaxed);
   obs::TraceCountTransportSolve();
   result.cost = solver_->Solve(problem).total_cost;
-  result.transport_seconds = transport_watch.ElapsedSeconds();
   return result;
 }
 

@@ -56,8 +56,6 @@ struct SndTermResult {
   int32_t num_suppliers = 0;
   int32_t num_consumers = 0;
   int32_t num_banks = 0;
-  double sssp_seconds = 0.0;
-  double transport_seconds = 0.0;
 };
 
 struct SndResult {

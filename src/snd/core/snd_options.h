@@ -74,8 +74,9 @@ struct SndOptions {
   double fixed_gamma = 8.0;
   // Exact proportional capacities preserve the location signal (every
   // same-opinion user contributes supply in proportion to its mass); the
-  // default simplex and SSP solvers handle the resulting real-valued
-  // masses exactly. Switch to kLargestRemainder for fully integral data
+  // default simplex and SSP solvers accept the resulting real-valued
+  // masses, balanced and conserved within kMassTolerance (relative) rather
+  // than exactly. Switch to kLargestRemainder for fully integral data
   // (required by the cost-scaling solver).
   BankApportionment apportionment = BankApportionment::kProportional;
 

@@ -11,367 +11,328 @@ namespace snd {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr int8_t kUp = 1;     // The tree arc runs from the node to its parent.
+constexpr int8_t kDown = -1;  // The tree arc runs from the parent to the node.
+constexpr int64_t kArtificial = -1;
 
-// A basic arc of the transportation tableau. Basic arcs form a spanning
-// tree of the bipartite node set (suppliers + consumers).
-struct BasicArc {
-  int32_t i = 0;
-  int32_t j = 0;
-  double flow = 0.0;
-  bool active = true;
-};
-
-class Simplex {
+// Primal network simplex on the transportation network: suppliers are
+// nodes [0, S), consumer j is node S + j, and node S + T is an artificial
+// root. The spanning tree is kept in the usual per-node arrays: every
+// non-root node u owns the tree arc to parent_[u] - the cell pred_[u]
+// (i * T + j) or its artificial arc to the root - together with that
+// arc's direction and flow. thread_ lists the nodes in preorder, so a
+// subtree is the thread run from its root to last_succ_.
+class NetworkSimplex {
  public:
-  Simplex(const TransportProblem& problem, const SimplexOptions& options)
-      : problem_(problem),
-        options_(options),
+  explicit NetworkSimplex(const TransportProblem& problem)
+      : cost_(problem.costs().data()),
         S_(problem.num_suppliers()),
-        T_(problem.num_consumers()) {}
-
-  // Returns true and fills `plan` on success; false if the pivot cap was
-  // exceeded (caller falls back to SSP).
-  bool Run(TransportPlan* plan) {
-    const bool use_vogel =
-        options_.initial_basis == SimplexOptions::InitialBasis::kVogel &&
-        static_cast<int64_t>(S_) * static_cast<int64_t>(T_) <=
-            options_.vogel_cell_limit;
-    if (use_vogel) {
-      BuildInitialBasisVogel();
-    } else {
-      BuildInitialBasis();
+        T_(problem.num_consumers()),
+        root_(S_ + T_),
+        cells_(static_cast<int64_t>(S_) * T_),
+        max_cost_(problem.MaxCost()),
+        tol_(1e-9 * (1.0 + max_cost_)),
+        // Large enough that no real path is dearer than an artificial
+        // one, so optimality drives every artificial arc to zero flow.
+        art_cost_((max_cost_ + 1.0) * (root_ + 1)),
+        block_(std::max<int64_t>(
+            10, std::llround(std::sqrt(static_cast<double>(cells_))))) {
+    const auto n = static_cast<size_t>(root_) + 1;
+    parent_.resize(n);
+    pred_.assign(n, kArtificial);
+    dir_.resize(n);
+    flow_.resize(n);
+    pi_.assign(n, 0.0);
+    thread_.resize(n);
+    rev_thread_.resize(n);
+    succ_num_.assign(n, 1);
+    last_succ_.resize(n);
+    // Every node hangs off the root by its artificial arc: suppliers (and
+    // empty bins) send their mass up at cost 0, consumers receive theirs
+    // down at art_cost_. Zero-flow arcs point up, so the tree is strongly
+    // feasible: every node can push positive flow to the root.
+    for (int32_t u = 0; u < root_; ++u) {
+      const auto k = static_cast<size_t>(u);
+      const bool demand = u >= S_ && problem.demand(u - S_) > 0.0;
+      parent_[k] = root_;
+      dir_[k] = demand ? kDown : kUp;
+      flow_[k] = u < S_ ? problem.supply(u) : problem.demand(u - S_);
+      if (demand) pi_[k] = art_cost_;
+      thread_[k] = u + 1;
+      rev_thread_[k + 1] = u;
+      last_succ_[k] = u;
     }
-    const double price_tol =
-        1e-9 * (1.0 + problem_.MaxCost());
+    parent_[n - 1] = -1;
+    thread_[n - 1] = 0;
+    rev_thread_[0] = root_;
+    succ_num_[n - 1] = root_ + 1;
+    last_succ_[n - 1] = root_ - 1;
+  }
+
+  // Returns true and fills `plan` at optimality; false if the pivot cap
+  // was exceeded (the caller falls back to SSP).
+  bool Run(TransportPlan* plan) {
     const int64_t max_pivots =
-        200 + 64 * (static_cast<int64_t>(S_) + T_) *
-                  static_cast<int64_t>(
-                      std::max<int64_t>(1, std::llround(std::log2(
-                                               2.0 + S_ + T_))));
-    for (int64_t pivot = 0;; ++pivot) {
-      if (pivot > max_pivots) return false;
-      ComputeDuals();
-      int32_t ei = 0, ej = 0;
-      if (!FindEnteringArc(price_tol, &ei, &ej)) break;  // Optimal.
-      Pivot(ei, ej);
+        200 + 64 * static_cast<int64_t>(root_) *
+                  std::max<int64_t>(1, std::llround(std::log2(2.0 + root_)));
+    for (int64_t pivots = 0; FindEnteringArc(); ++pivots) {
+      if (pivots > max_pivots) return false;
+      Pivot();
     }
     plan->flows.clear();
     plan->total_cost = 0.0;
-    for (const BasicArc& a : basis_) {
-      if (!a.active || a.flow <= 0.0) continue;
-      plan->flows.push_back({a.i, a.j, a.flow});
-      plan->total_cost += a.flow * problem_.Cost(a.i, a.j);
+    for (int32_t u = 0; u < root_; ++u) {
+      const auto k = static_cast<size_t>(u);
+      if (pred_[k] == kArtificial || flow_[k] <= 0.0) continue;
+      const auto i = static_cast<int32_t>(pred_[k] / T_);
+      const auto j = static_cast<int32_t>(pred_[k] % T_);
+      plan->flows.push_back({i, j, flow_[k]});
+      plan->total_cost += flow_[k] * cost_[pred_[k]];
     }
     return true;
   }
 
  private:
-  int32_t NodeOfSupplier(int32_t i) const { return i; }
-  int32_t NodeOfConsumer(int32_t j) const { return S_ + j; }
-
-  void AttachArc(int32_t arc_id) {
-    const BasicArc& a = basis_[static_cast<size_t>(arc_id)];
-    adj_[static_cast<size_t>(NodeOfSupplier(a.i))].push_back(arc_id);
-    adj_[static_cast<size_t>(NodeOfConsumer(a.j))].push_back(arc_id);
-  }
-
-  void DetachArc(int32_t arc_id) {
-    const BasicArc& a = basis_[static_cast<size_t>(arc_id)];
-    auto remove_from = [&](int32_t node) {
-      auto& lst = adj_[static_cast<size_t>(node)];
-      lst.erase(std::find(lst.begin(), lst.end(), arc_id));
-    };
-    remove_from(NodeOfSupplier(a.i));
-    remove_from(NodeOfConsumer(a.j));
-  }
-
-  // Northwest-corner initial basic feasible solution with exactly
-  // S + T - 1 basic arcs (degenerate zero arcs are inserted on ties). The
-  // walk always reaches cell (S-1, T-1), so floating-point imbalance dust
-  // cannot truncate the basis below tree size.
-  void BuildInitialBasis() {
-    adj_.assign(static_cast<size_t>(S_ + T_), {});
-    std::vector<double> rs = problem_.supplies();
-    std::vector<double> rd = problem_.demands();
-    int32_t i = 0, j = 0;
-    while (true) {
-      const double x = std::min(rs[static_cast<size_t>(i)],
-                                rd[static_cast<size_t>(j)]);
-      basis_.push_back({i, j, x, true});
-      AttachArc(static_cast<int32_t>(basis_.size()) - 1);
-      // Subtracting the exact minimum zeroes at least one side exactly.
-      rs[static_cast<size_t>(i)] -= x;
-      rd[static_cast<size_t>(j)] -= x;
-      if (i == S_ - 1 && j == T_ - 1) break;
-      bool advance_i;
-      if (i == S_ - 1) {
-        advance_i = false;
-      } else if (j == T_ - 1) {
-        advance_i = true;
-      } else {
-        advance_i = rs[static_cast<size_t>(i)] <= 0.0;
-      }
-      if (advance_i) {
-        ++i;
-      } else {
-        ++j;
-      }
-    }
-    SND_CHECK(static_cast<int32_t>(basis_.size()) == S_ + T_ - 1);
-  }
-
-  // Vogel's approximation method: repeatedly allocate at the cheapest
-  // cell of the line (row or column) with the largest regret - the gap
-  // between its two smallest open costs. Exactly one line closes per
-  // allocation (both on the final one), which keeps the chosen cells a
-  // spanning tree of size S + T - 1, like the northwest-corner walk.
-  void BuildInitialBasisVogel() {
-    adj_.assign(static_cast<size_t>(S_ + T_), {});
-    std::vector<double> rs = problem_.supplies();
-    std::vector<double> rd = problem_.demands();
-    std::vector<char> row_open(static_cast<size_t>(S_), 1);
-    std::vector<char> col_open(static_cast<size_t>(T_), 1);
-    int32_t open_rows = S_, open_cols = T_;
-
-    // Regret of an open line: difference between its two smallest open
-    // costs (or the single cost if only one line remains on the other
-    // side); returns the arg-min cell as well.
-    auto row_regret = [&](int32_t i, int32_t* best_j) {
-      double min1 = kInf, min2 = kInf;
-      for (int32_t j = 0; j < T_; ++j) {
-        if (!col_open[static_cast<size_t>(j)]) continue;
-        const double c = problem_.Cost(i, j);
-        if (c < min1) {
-          min2 = min1;
-          min1 = c;
-          *best_j = j;
-        } else if (c < min2) {
-          min2 = c;
-        }
-      }
-      return min2 == kInf ? min1 : min2 - min1;
-    };
-    auto col_regret = [&](int32_t j, int32_t* best_i) {
-      double min1 = kInf, min2 = kInf;
-      for (int32_t i = 0; i < S_; ++i) {
-        if (!row_open[static_cast<size_t>(i)]) continue;
-        const double c = problem_.Cost(i, j);
-        if (c < min1) {
-          min2 = min1;
-          min1 = c;
-          *best_i = i;
-        } else if (c < min2) {
-          min2 = c;
-        }
-      }
-      return min2 == kInf ? min1 : min2 - min1;
-    };
-
-    while (open_rows > 0 && open_cols > 0) {
-      // Pick the open line with the largest regret.
-      double best_regret = -1.0;
-      int32_t pick_i = -1, pick_j = -1;
-      for (int32_t i = 0; i < S_; ++i) {
-        if (!row_open[static_cast<size_t>(i)]) continue;
-        int32_t j = -1;
-        const double regret = row_regret(i, &j);
-        if (regret > best_regret) {
-          best_regret = regret;
-          pick_i = i;
-          pick_j = j;
-        }
-      }
-      for (int32_t j = 0; j < T_; ++j) {
-        if (!col_open[static_cast<size_t>(j)]) continue;
-        int32_t i = -1;
-        const double regret = col_regret(j, &i);
-        if (regret > best_regret) {
-          best_regret = regret;
-          pick_i = i;
-          pick_j = j;
-        }
-      }
-      SND_CHECK(pick_i >= 0 && pick_j >= 0);
-
-      const double x = std::min(rs[static_cast<size_t>(pick_i)],
-                                rd[static_cast<size_t>(pick_j)]);
-      basis_.push_back({pick_i, pick_j, x, true});
-      AttachArc(static_cast<int32_t>(basis_.size()) - 1);
-      rs[static_cast<size_t>(pick_i)] -= x;
-      rd[static_cast<size_t>(pick_j)] -= x;
-
-      if (open_rows == 1 && open_cols == 1) {
-        row_open[static_cast<size_t>(pick_i)] = 0;
-        col_open[static_cast<size_t>(pick_j)] = 0;
-        open_rows = open_cols = 0;
-        break;
-      }
-      // Close exactly one line: the exhausted one; on ties keep the side
-      // that would otherwise run out of lines.
-      const bool row_done = rs[static_cast<size_t>(pick_i)] <= 0.0;
-      const bool col_done = rd[static_cast<size_t>(pick_j)] <= 0.0;
-      bool close_row;
-      if (row_done && col_done) {
-        close_row = open_rows > 1;
-      } else if (row_done) {
-        close_row = open_rows > 1 || open_cols == 1;
-      } else {
-        close_row = !(open_cols > 1 || open_rows == 1);
-      }
-      if (close_row) {
-        rs[static_cast<size_t>(pick_i)] = 0.0;
-        row_open[static_cast<size_t>(pick_i)] = 0;
-        --open_rows;
-      } else {
-        rd[static_cast<size_t>(pick_j)] = 0.0;
-        col_open[static_cast<size_t>(pick_j)] = 0;
-        --open_cols;
-      }
-    }
-    SND_CHECK(static_cast<int32_t>(basis_.size()) == S_ + T_ - 1);
-  }
-
-  // Duals from the basis tree: u_i + v_j = c_ij on basic arcs, u_0 = 0.
-  void ComputeDuals() {
-    u_.assign(static_cast<size_t>(S_), kInf);
-    v_.assign(static_cast<size_t>(T_), kInf);
-    stack_.clear();
-    u_[0] = 0.0;
-    stack_.push_back(NodeOfSupplier(0));
-    while (!stack_.empty()) {
-      const int32_t node = stack_.back();
-      stack_.pop_back();
-      for (int32_t arc_id : adj_[static_cast<size_t>(node)]) {
-        const BasicArc& a = basis_[static_cast<size_t>(arc_id)];
-        const double c = problem_.Cost(a.i, a.j);
-        if (node < S_) {
-          if (v_[static_cast<size_t>(a.j)] == kInf) {
-            v_[static_cast<size_t>(a.j)] = c - u_[static_cast<size_t>(a.i)];
-            stack_.push_back(NodeOfConsumer(a.j));
-          }
-        } else {
-          if (u_[static_cast<size_t>(a.i)] == kInf) {
-            u_[static_cast<size_t>(a.i)] = c - v_[static_cast<size_t>(a.j)];
-            stack_.push_back(NodeOfSupplier(a.i));
-          }
-        }
-      }
-    }
-  }
-
-  // Block-pricing scan for the most negative reduced cost. Rows are
-  // scanned starting from a rotating cursor; the scan stops early once a
-  // block of rows containing a violation has been examined.
-  bool FindEnteringArc(double tol, int32_t* ei, int32_t* ej) {
-    const int32_t block = std::max<int32_t>(8, S_ / 16);
-    double best = -tol;
-    int32_t rows_since_found = 0;
-    bool found = false;
-    for (int32_t scanned = 0; scanned < S_; ++scanned) {
-      const int32_t i = static_cast<int32_t>((scan_cursor_ + scanned) % S_);
-      const double ui = u_[static_cast<size_t>(i)];
-      for (int32_t j = 0; j < T_; ++j) {
-        const double rc = problem_.Cost(i, j) - ui - v_[static_cast<size_t>(j)];
+  // Block pricing: scans the cost matrix cyclically from the cursor in
+  // blocks of block_ cells and takes the most negative reduced cost of
+  // the first block that has one. Tree cells price at zero and so never
+  // qualify, which is what lets the tree live without per-cell state.
+  bool FindEnteringArc() {
+    const double* pi_t = pi_.data() + S_;
+    double best = -tol_;
+    int64_t found = -1;
+    int64_t e = next_arc_;
+    int64_t budget = block_;
+    for (int64_t scanned = 0; scanned < cells_;) {
+      const auto i = static_cast<int32_t>(e / T_);
+      const auto j0 = static_cast<int32_t>(e % T_);
+      const auto j1 = static_cast<int32_t>(
+          j0 + std::min({static_cast<int64_t>(T_ - j0), budget,
+                         cells_ - scanned}));
+      const double* row = cost_ + static_cast<int64_t>(i) * T_;
+      const double pi_i = pi_[static_cast<size_t>(i)];
+      for (int32_t j = j0; j < j1; ++j) {
+        const double rc = row[j] + pi_i - pi_t[j];
         if (rc < best) {
           best = rc;
-          *ei = i;
-          *ej = j;
-          found = true;
+          found = static_cast<int64_t>(i) * T_ + j;
         }
       }
-      if (found && ++rows_since_found >= block) break;
+      scanned += j1 - j0;
+      budget -= j1 - j0;
+      e += j1 - j0;
+      if (e == cells_) e = 0;
+      if (budget == 0) {
+        if (found >= 0) break;
+        budget = block_;
+      }
     }
-    if (found) scan_cursor_ = (*ei + 1) % std::max(S_, 1);
-    return found;
+    if (found < 0) return false;
+    next_arc_ = e;
+    in_arc_ = found;
+    return true;
   }
 
-  // Finds the unique tree path from supplier `ei` to consumer `ej`,
-  // alternates +/- flow around the cycle closed by the entering arc, and
-  // swaps the leaving arc out of the basis.
-  void Pivot(int32_t ei, int32_t ej) {
-    // BFS over the basis tree recording the arc used to reach each node.
-    parent_arc_.assign(static_cast<size_t>(S_ + T_), -1);
-    parent_node_.assign(static_cast<size_t>(S_ + T_), -1);
-    stack_.clear();
-    const int32_t start = NodeOfSupplier(ei);
-    const int32_t goal = NodeOfConsumer(ej);
-    stack_.push_back(start);
-    parent_node_[static_cast<size_t>(start)] = start;
-    while (!stack_.empty()) {
-      const int32_t node = stack_.back();
-      stack_.pop_back();
-      if (node == goal) break;
-      for (int32_t arc_id : adj_[static_cast<size_t>(node)]) {
-        const BasicArc& a = basis_[static_cast<size_t>(arc_id)];
-        const int32_t other = (node < S_) ? NodeOfConsumer(a.j)
-                                          : NodeOfSupplier(a.i);
-        if (parent_node_[static_cast<size_t>(other)] < 0) {
-          parent_node_[static_cast<size_t>(other)] = node;
-          parent_arc_[static_cast<size_t>(other)] = arc_id;
-          stack_.push_back(other);
-        }
-      }
-    }
-    SND_CHECK(parent_node_[static_cast<size_t>(goal)] >= 0);
+  int32_t Parent(int32_t u) const { return parent_[static_cast<size_t>(u)]; }
 
-    // Walk goal -> start. The entering arc (start -> goal) carries +delta;
-    // tree arcs alternate starting with - at the goal side: an arc whose
-    // deeper endpoint is a consumer lies "with" the entering direction
-    // (+), one whose deeper endpoint is a supplier lies against it (-).
-    // Equivalently: arcs reached while standing on a consumer node get -,
-    // arcs reached from a supplier node get +.
-    cycle_arcs_.clear();
-    cycle_signs_.clear();
-    int32_t node = goal;
-    while (node != start) {
-      const int32_t arc_id = parent_arc_[static_cast<size_t>(node)];
-      cycle_arcs_.push_back(arc_id);
-      cycle_signs_.push_back(node >= S_ ? -1 : +1);
-      node = parent_node_[static_cast<size_t>(node)];
-    }
-
-    // Leaving arc: minimum flow among the minus-arcs.
-    double delta = kInf;
-    int32_t leaving = -1;
-    for (size_t k = 0; k < cycle_arcs_.size(); ++k) {
-      if (cycle_signs_[k] < 0) {
-        const double f = basis_[static_cast<size_t>(cycle_arcs_[k])].flow;
-        if (f <= delta) {  // '<=': prefer the last tie for determinism.
-          delta = f;
-          leaving = cycle_arcs_[k];
-        }
-      }
-    }
-    SND_CHECK(leaving >= 0);
-
-    for (size_t k = 0; k < cycle_arcs_.size(); ++k) {
-      BasicArc& a = basis_[static_cast<size_t>(cycle_arcs_[k])];
-      if (cycle_signs_[k] < 0) {
-        a.flow = (a.flow <= delta) ? 0.0 : a.flow - delta;
+  void Pivot() {
+    const auto source = static_cast<int32_t>(in_arc_ / T_);
+    const auto target = static_cast<int32_t>(S_ + in_arc_ % T_);
+    int32_t u = source, v = target;
+    while (u != v) {
+      if (succ_num_[static_cast<size_t>(u)] <
+          succ_num_[static_cast<size_t>(v)]) {
+        u = Parent(u);
       } else {
-        a.flow += delta;
+        v = Parent(v);
       }
     }
+    join_ = u;
 
-    // Swap leaving for entering.
-    DetachArc(leaving);
-    basis_[static_cast<size_t>(leaving)].active = false;
-    basis_.push_back({ei, ej, delta == kInf ? 0.0 : delta, true});
-    AttachArc(static_cast<int32_t>(basis_.size()) - 1);
+    // Leaving arc, by the strongly feasible rule: the last blocking arc
+    // met when walking the cycle in the entering direction from the join
+    // node ('<' on the source side, '<=' on the target side). Only arcs
+    // the cycle flow runs against can block; every cycle has one, since
+    // the network is acyclic.
+    double delta = kInf;
+    bool out_on_source_side = true;
+    for (int32_t w = source; w != join_; w = Parent(w)) {
+      const auto k = static_cast<size_t>(w);
+      if (dir_[k] == kUp && flow_[k] < delta) {
+        delta = flow_[k];
+        u_out_ = w;
+      }
+    }
+    for (int32_t w = target; w != join_; w = Parent(w)) {
+      const auto k = static_cast<size_t>(w);
+      if (dir_[k] == kDown && flow_[k] <= delta) {
+        delta = flow_[k];
+        u_out_ = w;
+        out_on_source_side = false;
+      }
+    }
+    SND_DCHECK(delta < kInf);
+    u_in_ = out_on_source_side ? source : target;
+    v_in_ = out_on_source_side ? target : source;
+
+    if (delta > 0.0) {
+      // flow >= delta on every blocking arc, so none goes negative and
+      // the leaving arc's drops to exactly zero.
+      for (int32_t w = source; w != join_; w = Parent(w)) {
+        const auto k = static_cast<size_t>(w);
+        flow_[k] -= dir_[k] * delta;
+      }
+      for (int32_t w = target; w != join_; w = Parent(w)) {
+        const auto k = static_cast<size_t>(w);
+        flow_[k] += dir_[k] * delta;
+      }
+    }
+    UpdateTree(source, delta);
+    UpdatePotentials();
   }
 
-  const TransportProblem& problem_;
-  const SimplexOptions options_;
+  // Swaps the leaving arc (above u_out_) for the entering one (u_in_ ->
+  // v_in_): the stem u_in_ .. u_out_ reverses, and the subtree of u_out_
+  // moves under v_in_ in the thread. LEMON's O(stem + thread splice)
+  // update of thread_, rev_thread_, succ_num_ and last_succ_.
+  void UpdateTree(int32_t source, double delta) {
+    auto at = [](std::vector<int32_t>& a, int32_t u) -> int32_t& {
+      return a[static_cast<size_t>(u)];
+    };
+    const int32_t old_rev_thread = at(rev_thread_, u_out_);
+    const int32_t old_succ_num = at(succ_num_, u_out_);
+    const int32_t old_last_succ = at(last_succ_, u_out_);
+    const int32_t v_out = at(parent_, u_out_);
+
+    if (u_in_ == u_out_) {
+      at(parent_, u_in_) = v_in_;
+      if (at(thread_, v_in_) != u_out_) {
+        int32_t after = at(thread_, old_last_succ);
+        at(thread_, old_rev_thread) = after;
+        at(rev_thread_, after) = old_rev_thread;
+        after = at(thread_, v_in_);
+        at(thread_, v_in_) = u_out_;
+        at(rev_thread_, u_out_) = v_in_;
+        at(thread_, old_last_succ) = after;
+        at(rev_thread_, after) = old_last_succ;
+      }
+    } else {
+      // When u_out_ directly follows v_in_ in the thread, join_ == v_out.
+      const int32_t thread_continue = old_rev_thread == v_in_
+                                          ? at(thread_, old_last_succ)
+                                          : at(thread_, v_in_);
+      // Re-hang the stem nodes one by one, each under the previous one.
+      int32_t stem = u_in_;
+      int32_t par_stem = v_in_;
+      int32_t last = at(last_succ_, u_in_);
+      int32_t after = at(thread_, last);
+      at(thread_, v_in_) = u_in_;
+      dirty_revs_.clear();
+      dirty_revs_.push_back(v_in_);
+      while (stem != u_out_) {
+        const int32_t next_stem = at(parent_, stem);
+        at(thread_, last) = next_stem;
+        dirty_revs_.push_back(last);
+        const int32_t before = at(rev_thread_, stem);
+        at(thread_, before) = after;
+        at(rev_thread_, after) = before;
+        at(parent_, stem) = par_stem;
+        par_stem = stem;
+        stem = next_stem;
+        last = at(last_succ_, stem) == at(last_succ_, par_stem)
+                   ? at(rev_thread_, par_stem)
+                   : at(last_succ_, stem);
+        after = at(thread_, last);
+      }
+      at(parent_, u_out_) = par_stem;
+      at(thread_, last) = thread_continue;
+      at(rev_thread_, thread_continue) = last;
+      at(last_succ_, u_out_) = last;
+      if (old_rev_thread != v_in_) {
+        at(thread_, old_rev_thread) = after;
+        at(rev_thread_, after) = old_rev_thread;
+      }
+      for (int32_t w : dirty_revs_) at(rev_thread_, at(thread_, w)) = w;
+
+      // Each stem node takes over the arc to its new parent (the old arc
+      // of that parent, reversed), walking down from u_out_.
+      int32_t tmp_sc = 0;
+      const int32_t tmp_ls = at(last_succ_, u_out_);
+      for (int32_t w = u_out_, p = at(parent_, w); w != u_in_;
+           w = p, p = at(parent_, w)) {
+        const auto k = static_cast<size_t>(w);
+        const auto kp = static_cast<size_t>(p);
+        pred_[k] = pred_[kp];
+        dir_[k] = static_cast<int8_t>(-dir_[kp]);
+        flow_[k] = flow_[kp];
+        tmp_sc += succ_num_[k] - succ_num_[kp];
+        succ_num_[k] = tmp_sc;
+        last_succ_[kp] = tmp_ls;
+      }
+      at(succ_num_, u_in_) = old_succ_num;
+    }
+    pred_[static_cast<size_t>(u_in_)] = in_arc_;
+    dir_[static_cast<size_t>(u_in_)] = u_in_ == source ? kUp : kDown;
+    flow_[static_cast<size_t>(u_in_)] = delta;
+
+    // last_succ_ and succ_num_ up the two paths to the join node.
+    const int32_t up_limit_out = at(last_succ_, join_) == v_in_ ? join_ : -1;
+    const int32_t last_succ_out = at(last_succ_, u_out_);
+    for (int32_t w = v_in_; w != -1 && at(last_succ_, w) == v_in_;
+         w = at(parent_, w)) {
+      at(last_succ_, w) = last_succ_out;
+    }
+    const int32_t fix = join_ != old_rev_thread && v_in_ != old_rev_thread
+                            ? old_rev_thread
+                            : last_succ_out;
+    if (fix != old_last_succ) {
+      for (int32_t w = v_out;
+           w != up_limit_out && at(last_succ_, w) == old_last_succ;
+           w = at(parent_, w)) {
+        at(last_succ_, w) = fix;
+      }
+    }
+    for (int32_t w = v_in_; w != join_; w = at(parent_, w)) {
+      at(succ_num_, w) += old_succ_num;
+    }
+    for (int32_t w = v_out; w != join_; w = at(parent_, w)) {
+      at(succ_num_, w) -= old_succ_num;
+    }
+  }
+
+  // Only the moved subtree (rooted at u_in_) changes potential.
+  void UpdatePotentials() {
+    const auto k = static_cast<size_t>(u_in_);
+    const double sigma = pi_[static_cast<size_t>(v_in_)] - pi_[k] -
+                         dir_[k] * cost_[in_arc_];
+    const int32_t end = thread_[static_cast<size_t>(last_succ_[k])];
+    for (int32_t w = u_in_; w != end; w = thread_[static_cast<size_t>(w)]) {
+      pi_[static_cast<size_t>(w)] += sigma;
+    }
+  }
+
+  const double* const cost_;
   const int32_t S_;
   const int32_t T_;
-  std::vector<BasicArc> basis_;
-  std::vector<std::vector<int32_t>> adj_;  // Node -> incident basic arc ids.
-  std::vector<double> u_, v_;
-  std::vector<int32_t> stack_;
-  std::vector<int32_t> parent_arc_, parent_node_;
-  std::vector<int32_t> cycle_arcs_;
-  std::vector<int8_t> cycle_signs_;
-  int64_t scan_cursor_ = 0;
+  const int32_t root_;
+  const int64_t cells_;
+  const double max_cost_;
+  const double tol_;  // Price tolerance.
+  const double art_cost_;
+  const int64_t block_;
+  int64_t next_arc_ = 0;
+
+  std::vector<int32_t> parent_;
+  std::vector<int64_t> pred_;
+  std::vector<int8_t> dir_;
+  std::vector<double> flow_;
+  std::vector<double> pi_;
+  std::vector<int32_t> thread_, rev_thread_, succ_num_, last_succ_;
+  std::vector<int32_t> dirty_revs_;
+
+  // The current pivot.
+  int64_t in_arc_ = 0;
+  int32_t join_ = 0, u_in_ = 0, v_in_ = 0, u_out_ = 0;
 };
 
 }  // namespace
@@ -382,9 +343,9 @@ TransportPlan SimplexSolver::Solve(const TransportProblem& problem) const {
       problem.total_mass() <= 0.0) {
     return plan;
   }
-  Simplex simplex(problem, options_);
+  NetworkSimplex simplex(problem);
   if (simplex.Run(&plan)) return plan;
-  // Pivot cap exceeded (possible only under degenerate cycling); the SSP
+  // Pivot cap exceeded (a guard against floating-point stalling); the SSP
   // solver is slower but unconditionally exact.
   return SspSolver().Solve(problem);
 }

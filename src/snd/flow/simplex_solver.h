@@ -1,11 +1,28 @@
-// Transportation simplex (MODI / u-v method) with a northwest-corner
-// initial basis and block pricing. The default solver: on the dense
-// instances produced by EMD it typically needs O(S + T) pivots, each
-// costing O(S + T) for the dual recomputation plus a bounded pricing scan.
+// Primal network simplex for the transportation problem; the default
+// solver.
 //
-// Degenerate pivots are permitted; an iteration cap guards against the
-// (rare) possibility of cycling, falling back to the exact SSP solver if
-// the cap is hit.
+// The basis is a spanning tree over the S + T bins plus an artificial
+// root, stored in per-node parent / thread (preorder) / subtree-size /
+// last-successor arrays, as in LEMON's NetworkSimplex (Kovács, "Minimum-
+// cost flow algorithms: an experimental evaluation", 2015). The solve
+// starts from the tree of artificial root arcs and iterates:
+//  * pricing - block search over the cost matrix in blocks of sqrt(S*T)
+//    cells, reading costs straight from the TransportProblem;
+//  * cycle   - both endpoints of the entering cell climb to their join
+//    node, guided by subtree sizes;
+//  * ratio   - the strongly feasible leaving rule (last blocking arc in
+//    cycle order), which keeps every tree strongly feasible and so rules
+//    out cycling on degenerate pivots;
+//  * update  - splice the moved subtree in the thread and shift the
+//    potentials of that subtree only.
+// A pivot costs O(block + cycle + moved subtree), not O(S + T), and the
+// working state is O(S + T): no per-cell arrays.
+//
+// Masses are real-valued; the price tolerance is 1e-9 * (1 + max cost).
+// A pivot cap guards against floating-point stalling by falling back to
+// the SSP solver.
+// Solve is const and keeps its working state local to the call, so one
+// solver may be shared by any number of threads.
 #ifndef SND_FLOW_SIMPLEX_SOLVER_H_
 #define SND_FLOW_SIMPLEX_SOLVER_H_
 
@@ -13,29 +30,10 @@
 
 namespace snd {
 
-struct SimplexOptions {
-  enum class InitialBasis {
-    // Northwest corner: O(S + T), cost-oblivious.
-    kNorthwest,
-    // Vogel's approximation: allocates by largest regret, giving a much
-    // better starting basis at O((S + T) * S * T) setup cost. Falls back
-    // to northwest corner on instances larger than vogel_cell_limit
-    // cells.
-    kVogel,
-  };
-  InitialBasis initial_basis = InitialBasis::kNorthwest;
-  int64_t vogel_cell_limit = 1 << 20;
-};
-
 class SimplexSolver final : public TransportSolver {
  public:
-  explicit SimplexSolver(SimplexOptions options = {}) : options_(options) {}
-
   TransportPlan Solve(const TransportProblem& problem) const override;
   const char* name() const override { return "simplex"; }
-
- private:
-  SimplexOptions options_;
 };
 
 }  // namespace snd

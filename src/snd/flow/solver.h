@@ -1,10 +1,11 @@
 // Solver interface for the transportation problem, with three production
 // implementations that cross-validate each other:
 //
-//  * kSimplex     - transportation simplex (MODI); the default. Fast in
-//                   practice on the dense instances produced by EMD.
+//  * kSimplex     - primal network simplex over a spanning tree; the
+//                   default. Fast in practice on the dense instances
+//                   produced by EMD.
 //  * kSsp         - successive shortest paths with potentials (Dijkstra);
-//                   handles real-valued masses exactly.
+//                   accepts real-valued masses (within kMassTolerance).
 //  * kCostScaling - Goldberg-Tarjan cost-scaling push-relabel, the
 //                   algorithm behind the CS2 code used by the paper;
 //                   requires integral costs and masses.

@@ -37,6 +37,8 @@ class TransportProblem {
   double demand(int32_t j) const { return demand_[static_cast<size_t>(j)]; }
   const std::vector<double>& supplies() const { return supply_; }
   const std::vector<double>& demands() const { return demand_; }
+  // Row-major, num_suppliers() x num_consumers().
+  const std::vector<double>& costs() const { return cost_; }
 
   double Cost(int32_t i, int32_t j) const {
     SND_DCHECK(0 <= i && i < num_suppliers());

@@ -1,5 +1,7 @@
 #include <cmath>
 #include <memory>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -267,45 +269,104 @@ TEST_P(RealMassAgreementTest, SimplexMatchesSsp) {
 INSTANTIATE_TEST_SUITE_P(Random, RealMassAgreementTest,
                          ::testing::Range(0, 40));
 
-
-// Vogel initialization: same optima as the default northwest-corner
-// basis, across random instances.
-class VogelInitTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(VogelInitTest, MatchesNorthwestOptimum) {
-  Rng rng(1400 + static_cast<uint64_t>(GetParam()));
-  const int32_t s = 2 + static_cast<int32_t>(rng.UniformInt(0, 10));
-  const int32_t t = 2 + static_cast<int32_t>(rng.UniformInt(0, 10));
-  std::vector<double> supply(static_cast<size_t>(s));
-  std::vector<double> demand(static_cast<size_t>(t), 0.0);
-  double total = 0.0;
-  for (auto& v : supply) {
-    v = static_cast<double>(rng.UniformInt(0, 12));
-    total += v;
+// EMD*-shaped reduced problem as the SND fast path builds it with per-bin
+// banks: unit suppliers against `consumers` unit-demand bins plus a block
+// of `banks` equal fractional capacities mismatch / banks (how
+// ComputeBankCapacities apportions a mismatch over per-bin banks). Costs
+// are small integers with many ties plus a few disconnection-sized
+// entries (U * n). `transpose` puts the banks on the supply side, as for
+// terms whose source histogram is the lighter one.
+TransportProblem EmdStarShapedProblem(uint64_t seed, int32_t consumers,
+                                      bool transpose) {
+  Rng rng(seed);
+  const auto mismatch = static_cast<int32_t>(rng.UniformInt(1, consumers / 2));
+  const auto banks = static_cast<int32_t>(rng.UniformInt(1, consumers / 2));
+  const int32_t rows = consumers + mismatch;
+  const int32_t cols = consumers + banks;
+  std::vector<double> unit(static_cast<size_t>(rows), 1.0);
+  std::vector<double> mixed(static_cast<size_t>(consumers), 1.0);
+  mixed.resize(static_cast<size_t>(cols),
+               mismatch / static_cast<double>(banks));
+  constexpr double kDisconnection = 1024.0 * 6000.0;
+  std::vector<double> cost(static_cast<size_t>(rows) * cols);
+  for (auto& c : cost) {
+    c = rng.UniformInt(0, 199) == 0
+            ? kDisconnection
+            : static_cast<double>(rng.UniformInt(1, 8));
   }
-  double remaining = total;
-  for (int32_t j = 0; j + 1 < t; ++j) {
-    const double d = std::floor(rng.UniformReal() * remaining);
-    demand[static_cast<size_t>(j)] = d;
-    remaining -= d;
+  if (!transpose) {
+    return TransportProblem(std::move(unit), std::move(mixed), std::move(cost));
   }
-  demand[static_cast<size_t>(t - 1)] = remaining;
-  std::vector<double> cost(static_cast<size_t>(s) * static_cast<size_t>(t));
-  for (auto& c : cost) c = static_cast<double>(rng.UniformInt(0, 40));
-  const TransportProblem p(std::move(supply), std::move(demand),
-                           std::move(cost));
-
-  SimplexOptions vogel;
-  vogel.initial_basis = SimplexOptions::InitialBasis::kVogel;
-  const TransportPlan vogel_plan = SimplexSolver(vogel).Solve(p);
-  const TransportPlan nw_plan = SimplexSolver().Solve(p);
-  std::string error;
-  EXPECT_TRUE(ValidatePlan(p, vogel_plan, &error)) << error;
-  EXPECT_NEAR(vogel_plan.total_cost, nw_plan.total_cost,
-              1e-9 * (1.0 + nw_plan.total_cost));
+  std::vector<double> cost_t(cost.size());
+  for (int32_t r = 0; r < rows; ++r) {
+    for (int32_t c = 0; c < cols; ++c) {
+      cost_t[static_cast<size_t>(c) * rows + r] =
+          cost[static_cast<size_t>(r) * cols + c];
+    }
+  }
+  return TransportProblem(std::move(mixed), std::move(unit), std::move(cost_t));
 }
 
-INSTANTIATE_TEST_SUITE_P(Random, VogelInitTest, ::testing::Range(0, 30));
+void ExpectSimplexMatchesSsp(const TransportProblem& p) {
+  const TransportPlan simplex = SimplexSolver().Solve(p);
+  const double ssp = SspSolver().Solve(p).total_cost;
+  std::string error;
+  EXPECT_TRUE(ValidatePlan(p, simplex, &error)) << error;
+  EXPECT_NEAR(simplex.total_cost, ssp, 1e-9 * (1.0 + std::abs(ssp)));
+}
+
+class EmdStarShapedAgreementTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(EmdStarShapedAgreementTest, SimplexMatchesSsp) {
+  const int32_t consumers = std::vector<int32_t>{50, 100, 200, 400}
+      [static_cast<size_t>(GetParam() % 4)];
+  ExpectSimplexMatchesSsp(EmdStarShapedProblem(
+      1700 + static_cast<uint64_t>(GetParam()), consumers, GetParam() >= 4));
+}
+
+INSTANTIATE_TEST_SUITE_P(Random, EmdStarShapedAgreementTest,
+                         ::testing::Range(0, 8));
+
+TEST(EmdStarShapedEdgeTest, SingleRowSingleColumnAndZeroCosts) {
+  // 1 x T: one supplier feeds unit consumers and fractional banks.
+  ExpectSimplexMatchesSsp(MakeProblem(
+      {5.0}, {1, 1, 1, 2.0 / 3, 2.0 / 3, 2.0 / 3}, {3, 1, 8, 1, 1, 6}));
+  // S x 1: unit suppliers and fractional banks drain into one bin.
+  ExpectSimplexMatchesSsp(MakeProblem({1, 1, 0.25, 0.25, 0.25, 0.25}, {3.0},
+                                      {2, 7, 1, 1, 4, 4}));
+  // All-zero costs: every plan is optimal at cost 0.
+  const TransportProblem p = EmdStarShapedProblem(1800, 60, false);
+  std::vector<double> zeros(p.costs().size(), 0.0);
+  const TransportProblem z(p.supplies(), p.demands(), std::move(zeros));
+  ExpectSimplexMatchesSsp(z);
+  EXPECT_EQ(SimplexSolver().Solve(z).total_cost, 0.0);
+}
+
+// One solver shared by four threads on distinct problems returns, bit for
+// bit, the totals of serial solves.
+TEST(SimplexConcurrencyTest, SharedSolverMatchesSerialBitwise) {
+  const SimplexSolver solver;
+  std::vector<TransportProblem> problems;
+  std::vector<double> serial;
+  for (int k = 0; k < 4; ++k) {
+    problems.push_back(
+        EmdStarShapedProblem(1900 + static_cast<uint64_t>(k), 120, k % 2 == 1));
+    serial.push_back(solver.Solve(problems.back()).total_cost);
+  }
+  std::vector<double> concurrent(problems.size(), 0.0);
+  std::vector<std::thread> threads;
+  for (size_t k = 0; k < problems.size(); ++k) {
+    threads.emplace_back([&, k] {
+      for (int rep = 0; rep < 3; ++rep) {
+        concurrent[k] = solver.Solve(problems[k]).total_cost;
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (size_t k = 0; k < problems.size(); ++k) {
+    EXPECT_EQ(concurrent[k], serial[k]) << "problem " << k;
+  }
+}
 
 }  // namespace
 }  // namespace snd
