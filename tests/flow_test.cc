@@ -317,15 +317,51 @@ void ExpectSimplexMatchesSsp(const TransportProblem& p) {
 
 class EmdStarShapedAgreementTest : public ::testing::TestWithParam<int> {};
 
+// Two seeds per (size, orientation): params 4-7 and 12-15 are transposed.
 TEST_P(EmdStarShapedAgreementTest, SimplexMatchesSsp) {
   const int32_t consumers = std::vector<int32_t>{50, 100, 200, 400}
       [static_cast<size_t>(GetParam() % 4)];
-  ExpectSimplexMatchesSsp(EmdStarShapedProblem(
-      1700 + static_cast<uint64_t>(GetParam()), consumers, GetParam() >= 4));
+  ExpectSimplexMatchesSsp(
+      EmdStarShapedProblem(1700 + static_cast<uint64_t>(GetParam()),
+                           consumers, (GetParam() / 4) % 2 == 1));
 }
 
 INSTANTIATE_TEST_SUITE_P(Random, EmdStarShapedAgreementTest,
-                         ::testing::Range(0, 8));
+                         ::testing::Range(0, 16));
+
+// The integral-scaled form of the same shape (masses multiplied by the
+// bank count L: unit supplier = L, bank = mismatch, consumer = L) with
+// every cost 1 or 2, so nearly every pivot is degenerate and the
+// strongly feasible leaving rule is what keeps the simplex from cycling.
+// Cost-scaling solves the integral instance exactly and is the reference.
+class TiedCostBankAgreementTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(TiedCostBankAgreementTest, SimplexMatchesCostScaling) {
+  Rng rng(2000 + static_cast<uint64_t>(GetParam()));
+  const auto units = static_cast<int32_t>(rng.UniformInt(1, 40));
+  const auto mismatch = static_cast<int32_t>(rng.UniformInt(1, 20));
+  const auto banks = static_cast<int32_t>(rng.UniformInt(1, 20));
+  const int32_t consumers = units + mismatch;
+  std::vector<double> supply(static_cast<size_t>(units),
+                             static_cast<double>(banks));
+  supply.resize(static_cast<size_t>(units + banks),
+                static_cast<double>(mismatch));
+  std::vector<double> demand(static_cast<size_t>(consumers),
+                             static_cast<double>(banks));
+  std::vector<double> cost(supply.size() * demand.size());
+  for (auto& c : cost) c = static_cast<double>(rng.UniformInt(1, 2));
+  const TransportProblem p(std::move(supply), std::move(demand),
+                           std::move(cost));
+
+  const TransportPlan simplex = SimplexSolver().Solve(p);
+  const double reference = CostScalingSolver().Solve(p).total_cost;
+  std::string error;
+  EXPECT_TRUE(ValidatePlan(p, simplex, &error)) << error;
+  EXPECT_NEAR(simplex.total_cost, reference, 1e-9 * (1.0 + reference));
+}
+
+INSTANTIATE_TEST_SUITE_P(Random, TiedCostBankAgreementTest,
+                         ::testing::Range(0, 12));
 
 TEST(EmdStarShapedEdgeTest, SingleRowSingleColumnAndZeroCosts) {
   // 1 x T: one supplier feeds unit consumers and fractional banks.
