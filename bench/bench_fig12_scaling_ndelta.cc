@@ -5,11 +5,12 @@
 // transportation problem grows with n_delta while the SSSP stage grows
 // linearly in it, giving the figure's superlinear curve.
 //
-// Per-layer times come from the obs phase timers production uses: each
-// Compute runs under its own RequestTrace, and the sssp / transport
-// columns are that trace's phase_ns (SSSP work summed over pool lanes).
-// fig12.transport_share is transport's share of the edge-cost + SSSP +
-// transport work over the whole sweep.
+// The calculator runs its SSSPs serially, as the paper's timings do, so
+// the figures do not depend on the machine's core count. Per-layer times
+// come from the obs phase timers production uses: each Compute runs under
+// its own RequestTrace, and the sssp / transport columns are that trace's
+// phase_ns. fig12.transport_share is transport's share of the edge-cost +
+// SSSP + transport time over the whole sweep.
 #include <cstdio>
 
 #include "bench_common.h"
@@ -41,7 +42,9 @@ int main() {
   std::printf("network: n=%d m=%lld\n\n", graph.num_nodes(),
               static_cast<long long>(graph.num_edges()));
 
-  const snd::SndCalculator calculator(&graph, snd::SndOptions{});
+  snd::SndOptions options;
+  options.parallel_sssp = false;
+  const snd::SndCalculator calculator(&graph, options);
   snd::SyntheticEvolution evolution(&graph, 52);
   const snd::NetworkState base = evolution.InitialState(num_nodes / 10);
 

@@ -359,21 +359,13 @@ TEST_F(ServiceStressTest, EvictRacesReadsReturnExactValuesOrCleanErrors) {
           request.j = 1;
           const StatusOr<Response> response =
               service.Dispatch(Request(request));
-          // Between the churn thread's load_graph and load_states the
-          // session holds no states, so index 0 is out of range.
-          const bool no_states_yet =
-              !response.ok() &&
-              response.status().code() == StatusCode::kInvalidArgument &&
-              response.status().message().find("(have 0 states)") !=
-                  std::string::npos;
           if (response.ok()) {
             if (std::get<DistanceResponse>(*response).value != expected_01_) {
               failures.Record("distance drifted under evict churn");
             }
           } else if (response.status().code() != StatusCode::kNotFound &&
                      response.status().code() !=
-                         StatusCode::kFailedPrecondition &&
-                     !no_states_yet) {
+                         StatusCode::kFailedPrecondition) {
             failures.Record("distance bad error: " +
                             response.status().ToString());
           }
