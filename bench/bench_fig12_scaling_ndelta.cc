@@ -2,16 +2,22 @@
 // opinion (n_delta) grows, with the network size fixed.
 //
 // Paper setup: n = 20k fixed, n_delta up to 10k; the reduced
-// transportation problem grows with n_delta while the SSSP stage grows
-// linearly in it, giving the figure's superlinear curve.
+// transportation problem grows with n_delta, giving the figure's
+// superlinear curve. Each term searches from the smaller side of its
+// reduced problem, so the SSSP stage grows as min(n_delta/2, bank bins)
+// searches per term: linearly at first, then flat once the changed users
+// outnumber the bank bins (past n_delta of about 600 at reduced scale).
+// The `searches` column lists the four terms' search counts.
 //
 // The calculator runs its SSSPs serially, as the paper's timings do, so
 // the figures do not depend on the machine's core count. Per-layer times
 // come from the obs phase timers production uses: each Compute runs under
 // its own RequestTrace, and the sssp / transport columns are that trace's
 // phase_ns. fig12.transport_share is transport's share of the edge-cost +
-// SSSP + transport time over the whole sweep.
+// SSSP + transport time over the whole sweep; fig12.sssp_runs is the
+// sweep's total search count (deterministic for the seeded workload).
 #include <cstdio>
+#include <string>
 
 #include "bench_common.h"
 #include "snd/core/snd.h"
@@ -52,26 +58,35 @@ int main() {
     return 1e-9 * static_cast<double>(
                       trace.phase_ns[static_cast<int>(p)].load());
   };
-  snd::TablePrinter table({"n_delta", "total s", "sssp s", "transport s"});
+  snd::TablePrinter table(
+      {"n_delta", "total s", "sssp s", "transport s", "searches"});
   double work = 0.0, transport_work = 0.0;
+  int64_t sssp_runs = 0;
   for (int32_t n_delta : deltas) {
     const snd::NetworkState next =
         snd::RandomTransition(base, n_delta, evolution.rng());
     snd::obs::RequestTrace trace;
     snd::Stopwatch watch;
+    snd::SndResult result;
     {
       const snd::obs::TraceScope scope(&trace);
-      calculator.Compute(base, next);
+      result = calculator.Compute(base, next);
     }
     const double seconds = watch.ElapsedSeconds();
     const double sssp = phase_s(trace, snd::obs::ObsPhase::kSssp);
     const double transport = phase_s(trace, snd::obs::ObsPhase::kTransport);
     work += phase_s(trace, snd::obs::ObsPhase::kEdgeCost) + sssp + transport;
     transport_work += transport;
+    sssp_runs += trace.sssp_runs.load();
+    std::string searches;
+    for (const snd::SndTermResult& term : result.terms) {
+      if (!searches.empty()) searches += "/";
+      searches += std::to_string(term.num_searches);
+    }
     table.AddRow({snd::TablePrinter::Fmt(int64_t{n_delta}),
                   snd::TablePrinter::Fmt(seconds, 3),
                   snd::TablePrinter::Fmt(sssp, 3),
-                  snd::TablePrinter::Fmt(transport, 3)});
+                  snd::TablePrinter::Fmt(transport, 3), searches});
     std::printf("n_delta=%-6d %.3fs (sssp %.3f, transport %.3f)\n", n_delta,
                 seconds, sssp, transport);
   }
@@ -79,5 +94,6 @@ int main() {
   table.Print();
   snd::bench::PrintMetric("fig12.transport_share",
                           work > 0.0 ? transport_work / work : 0.0);
+  snd::bench::PrintMetric("fig12.sssp_runs", static_cast<double>(sssp_runs));
   return 0;
 }

@@ -47,7 +47,7 @@ size_t OpSlot(Opinion op) { return op == Opinion::kPositive ? 0 : 1; }
 // calls over one resident append-only state series. Entries are computed
 // lazily and exactly once (std::call_once makes concurrent first requests
 // safe); the reversed-cost buffer is derived on demand so pairs that
-// never hit the reverse-SSSP branch pay nothing for it. Growth for
+// never search the reversed graph pay nothing for it. Growth for
 // appended states happens in EnsureStates at batch entry, serialized by
 // its own mutex so overlapping batch calls (the shared service) are
 // safe; std::deque keeps existing entries pinned while growing.
@@ -637,8 +637,9 @@ SndTermResult SndCalculator::ComputeTermFast(const TermSpec& spec,
                         [static_cast<size_t>(flat % nb)];
   };
 
-  // Distinct clusters holding an active bank; only their minima are read
-  // by the bank rows/columns below, so only their members must be settled.
+  // Distinct clusters holding an active bank. A search from the plain
+  // side reads only their minima, so only their members must be settled;
+  // a search from the bank side starts once from each of them.
   std::vector<int32_t> bank_clusters;
   bank_clusters.reserve(bank_ids.size());
   for (int32_t bk : bank_ids) bank_clusters.push_back(bank_cluster(bk));
@@ -658,129 +659,144 @@ SndTermResult SndCalculator::ComputeTermFast(const TermSpec& spec,
     }
   };
 
-  // Target set of every row's search: the reduced problem reads a row
-  // only at the opposite side's bins and at active-bank-cluster members,
-  // so the engine stops as soon as those are settled instead of settling
-  // all n nodes. Settled-target entries are exact, keeping the values
-  // bitwise identical to a full search for every backend.
-  std::vector<int32_t> row_targets((!p_lighter ? con : sup).begin(),
-                                   (!p_lighter ? con : sup).end());
-  for (int32_t c : bank_clusters) {
-    const std::vector<int32_t>& members =
-        cluster_members_[static_cast<size_t>(c)];
-    row_targets.insert(row_targets.end(), members.begin(), members.end());
+  // The cost matrix pairs a *plain* side (the side without banks: `con`
+  // when p is lighter, `sup` otherwise) with a *bank* side (the other
+  // side's bins, then the active banks). Its entries can be searched from
+  // either side: one search per plain bin, or one per bank-side bin plus
+  // one per active bank cluster, seeded at 0 from every member so that
+  // its distance at a node is the cluster minimum. The term searches from
+  // the side with fewer origins (the plain side on a tie), running over
+  // the reversed graph when the origins are on the demand side. Every
+  // search stops once the opposite side's entries are settled; those are
+  // exact integers either way, so the matrix is bitwise identical.
+  const std::vector<int32_t>& plain = p_lighter ? con : sup;
+  const std::vector<int32_t>& paired = p_lighter ? sup : con;
+  const bool from_bank_side =
+      paired.size() + bank_clusters.size() < plain.size();
+  const bool reverse = p_lighter != from_bank_side;
+  std::vector<int32_t> row_targets;
+  if (!from_bank_side) {
+    row_targets = paired;
+    for (int32_t c : bank_clusters) {
+      const std::vector<int32_t>& members =
+          cluster_members_[static_cast<size_t>(c)];
+      row_targets.insert(row_targets.end(), members.begin(), members.end());
+    }
   }
-  const SsspGoal row_goal = SsspGoal::SettleTargets(row_targets);
+  const SsspGoal goal =
+      SsspGoal::SettleTargets(from_bank_side ? plain : row_targets);
 
-  // Runs row_fn(r, scratch) for every r in [0, count). The SSSPs behind
-  // the rows are independent, so top-level single-pair computations fan
+  // Runs search_fn(o, scratch) for every origin o in [0, count). The
+  // searches are independent, so top-level single-pair computations fan
   // them out on the shared pool with one scratch per lane; inside a batch
-  // (already parallel over pairs) or with a single-thread pool the rows
-  // run serially on the provided (or a local) scratch. Either way every
-  // row writes only its own slice of `cost`, keeping results bitwise
-  // identical across thread counts.
-  auto for_each_row = [&](int64_t count, auto&& row_fn) {
+  // (already parallel over pairs) or with a single-thread pool they run
+  // serially on the provided (or a local) scratch. Either way every
+  // search writes only its own rows or columns of `cost`, keeping results
+  // bitwise identical across thread counts.
+  auto for_each_origin = [&](int64_t count, auto&& search_fn) {
     ThreadPool& pool = ThreadPool::Global();
     if (options_.parallel_sssp && count > 1 && pool.num_threads() > 1 &&
         !ThreadPool::InParallelRegion()) {
-      // Per-lane scratch, created on first use so a term with fewer rows
-      // than lanes does not allocate workspaces that never run.
+      // Per-lane scratch, created on first use so a term with fewer
+      // origins than lanes does not allocate workspaces that never run.
       std::vector<std::unique_ptr<TermScratch>> scratch(
           static_cast<size_t>(pool.num_threads()));
-      pool.ParallelFor(count, [&](int64_t r, int32_t slot) {
+      pool.ParallelFor(count, [&](int64_t o, int32_t slot) {
         std::unique_ptr<TermScratch>& lane =
             scratch[static_cast<size_t>(slot)];
         if (lane == nullptr) lane = std::make_unique<TermScratch>(*this);
-        row_fn(r, lane.get());
+        search_fn(o, lane.get());
       });
     } else if (ctx.scratch != nullptr) {
-      for (int64_t r = 0; r < count; ++r) row_fn(r, ctx.scratch);
+      for (int64_t o = 0; o < count; ++o) search_fn(o, ctx.scratch);
     } else {
       TermScratch local(*this);
-      for (int64_t r = 0; r < count; ++r) row_fn(r, &local);
+      for (int64_t o = 0; o < count; ++o) search_fn(o, &local);
     }
   };
 
-  std::vector<double> supply, demand, cost;
-  int32_t rows = 0, cols = 0;
-
-  if (!p_lighter) {
-    // Banks (if any) join the demand side; one forward SSSP per supplier.
-    rows = static_cast<int32_t>(sup.size());
-    cols = static_cast<int32_t>(con.size() + bank_ids.size());
-    supply.reserve(static_cast<size_t>(rows));
-    for (int32_t s : sup) supply.push_back(p[static_cast<size_t>(s)]);
-    for (int32_t t : con) demand.push_back(q[static_cast<size_t>(t)]);
-    for (int32_t bk : bank_ids) {
-      demand.push_back(bank_caps[static_cast<size_t>(bk)]);
-    }
-    cost.resize(static_cast<size_t>(rows) * static_cast<size_t>(cols));
-    for_each_row(rows, [&](int64_t r, TermScratch* scratch) {
-      sssp_runs_.fetch_add(1, std::memory_order_relaxed);
-      obs::TraceCountSsspRun();
-      const SsspSource source{sup[static_cast<size_t>(r)], 0};
-      const std::span<const int64_t> dist = scratch->engine->Run(
-          *graph_, costs, std::span<const SsspSource>(&source, 1), row_goal);
-      cluster_minimum(dist, &scratch->cluster_min);
-      double* row = cost.data() + static_cast<size_t>(r) * cols;
-      for (size_t j = 0; j < con.size(); ++j) {
-        row[j] = finite(dist[static_cast<size_t>(con[j])]);
-      }
-      for (size_t k = 0; k < bank_ids.size(); ++k) {
-        const int32_t bk = bank_ids[k];
-        row[con.size() + k] =
-            bank_gamma(bk) +
-            finite(scratch->cluster_min[static_cast<size_t>(
-                bank_cluster(bk))]);
-      }
-    });
-  } else {
-    // Banks join the supply side; one *reverse* SSSP per consumer gives
-    // the distances from every node (and hence every bank cluster) to it.
-    rows = static_cast<int32_t>(sup.size() + bank_ids.size());
-    cols = static_cast<int32_t>(con.size());
-    for (int32_t s : sup) supply.push_back(p[static_cast<size_t>(s)]);
-    for (int32_t bk : bank_ids) {
-      supply.push_back(bank_caps[static_cast<size_t>(bk)]);
-    }
-    for (int32_t t : con) demand.push_back(q[static_cast<size_t>(t)]);
-    cost.resize(static_cast<size_t>(rows) * static_cast<size_t>(cols));
-    // The reversed-cost buffer also comes from the cache when attached,
-    // instead of being rebuilt for every term of every pair.
-    std::vector<int32_t> local_rev;
-    const std::vector<int32_t>* rev_ptr = nullptr;
-    if (ctx.cache != nullptr) {
-      rev_ptr = &ctx.cache->RevCosts(ctx.distance_state_index, spec.op);
-    } else {
-      local_rev.resize(costs.size());
-      for (size_t e = 0; e < local_rev.size(); ++e) {
-        local_rev[e] = costs[static_cast<size_t>(reverse_origin_[e])];
-      }
-      rev_ptr = &local_rev;
-    }
-    const std::vector<int32_t>& rev_costs = *rev_ptr;
-    for_each_row(static_cast<int64_t>(con.size()),
-                 [&](int64_t jc, TermScratch* scratch) {
-      sssp_runs_.fetch_add(1, std::memory_order_relaxed);
-      obs::TraceCountSsspRun();
-      const SsspSource source{con[static_cast<size_t>(jc)], 0};
-      const std::span<const int64_t> dist = scratch->engine->Run(
-          reversed_, rev_costs, std::span<const SsspSource>(&source, 1),
-          row_goal);
-      cluster_minimum(dist, &scratch->cluster_min);
-      for (size_t r = 0; r < sup.size(); ++r) {
-        cost[r * con.size() + static_cast<size_t>(jc)] =
-            finite(dist[static_cast<size_t>(sup[r])]);
-      }
-      for (size_t k = 0; k < bank_ids.size(); ++k) {
-        const int32_t bk = bank_ids[k];
-        cost[(sup.size() + k) * con.size() + static_cast<size_t>(jc)] =
-            bank_gamma(bk) +
-            finite(scratch->cluster_min[static_cast<size_t>(
-                bank_cluster(bk))]);
-      }
-    });
+  // Banks join the lighter side: the demand side unless p is lighter.
+  std::vector<double> supply, demand;
+  for (int32_t s : sup) supply.push_back(p[static_cast<size_t>(s)]);
+  for (int32_t t : con) demand.push_back(q[static_cast<size_t>(t)]);
+  for (int32_t bk : bank_ids) {
+    (p_lighter ? supply : demand)
+        .push_back(bank_caps[static_cast<size_t>(bk)]);
   }
+  std::vector<double> cost(supply.size() * demand.size());
+  // Entry (plain bin x, bank-side index y): y < paired.size() is a bin,
+  // paired.size() + k is bank_ids[k].
+  auto cell = [&, cols = demand.size()](size_t x, size_t y) -> double& {
+    return p_lighter ? cost[y * cols + x] : cost[x * cols + y];
+  };
+
+  // The reversed-cost buffer also comes from the cache when attached,
+  // instead of being rebuilt for every term of every pair.
+  std::vector<int32_t> local_rev;
+  const std::vector<int32_t>* search_costs = &costs;
+  if (reverse && ctx.cache != nullptr) {
+    search_costs = &ctx.cache->RevCosts(ctx.distance_state_index, spec.op);
+  } else if (reverse) {
+    local_rev.resize(costs.size());
+    for (size_t e = 0; e < local_rev.size(); ++e) {
+      local_rev[e] = costs[static_cast<size_t>(reverse_origin_[e])];
+    }
+    search_costs = &local_rev;
+  }
+  const Graph& search_graph = reverse ? reversed_ : *graph_;
+
+  const size_t num_origins =
+      from_bank_side ? paired.size() + bank_clusters.size() : plain.size();
+  result.num_searches = static_cast<int32_t>(num_origins);
+  for_each_origin(static_cast<int64_t>(num_origins),
+                  [&](int64_t origin, TermScratch* scratch) {
+    const auto o = static_cast<size_t>(origin);
+    std::vector<SsspSource>& sources = scratch->sources;
+    sources.clear();
+    if (!from_bank_side) {
+      sources.push_back({plain[o], 0});
+    } else if (o < paired.size()) {
+      sources.push_back({paired[o], 0});
+    } else {
+      for (int32_t member : cluster_members_[static_cast<size_t>(
+               bank_clusters[o - paired.size()])]) {
+        sources.push_back({member, 0});
+      }
+    }
+    sssp_runs_.fetch_add(1, std::memory_order_relaxed);
+    obs::TraceCountSsspRun();
+    const std::span<const int64_t> dist =
+        scratch->engine->Run(search_graph, *search_costs, sources, goal);
+    if (!from_bank_side) {
+      cluster_minimum(dist, &scratch->cluster_min);
+      for (size_t y = 0; y < paired.size(); ++y) {
+        cell(o, y) = finite(dist[static_cast<size_t>(paired[y])]);
+      }
+      for (size_t k = 0; k < bank_ids.size(); ++k) {
+        const int32_t bk = bank_ids[k];
+        cell(o, paired.size() + k) =
+            bank_gamma(bk) + finite(scratch->cluster_min[static_cast<size_t>(
+                                 bank_cluster(bk))]);
+      }
+    } else if (o < paired.size()) {
+      for (size_t x = 0; x < plain.size(); ++x) {
+        cell(x, o) = finite(dist[static_cast<size_t>(plain[x])]);
+      }
+    } else {
+      // This cluster's banks: a contiguous run of the sorted bank_ids.
+      const int32_t c = bank_clusters[o - paired.size()];
+      for (auto it = std::lower_bound(bank_ids.begin(), bank_ids.end(),
+                                      c * nb);
+           it != bank_ids.end() && bank_cluster(*it) == c; ++it) {
+        const size_t y = paired.size() + static_cast<size_t>(
+                                             it - bank_ids.begin());
+        for (size_t x = 0; x < plain.size(); ++x) {
+          cell(x, y) =
+              bank_gamma(*it) + finite(dist[static_cast<size_t>(plain[x])]);
+        }
+      }
+    }
+  });
   const TransportProblem problem(std::move(supply), std::move(demand),
                                  std::move(cost));
   const obs::ObsSpan transport_span(obs::ObsPhase::kTransport);

@@ -10,10 +10,12 @@
 // Two computation paths are provided:
 //  * Compute()          - the fast path of Theorem 4: Lemma 2 cancels the
 //                         per-user common mass, Lemma 1 drops empty bins,
-//                         one SSSP per changed user builds exactly the
-//                         ground-distance rows the reduced transportation
-//                         problem needs. Time O(n_delta * (m + n log n) +
-//                         transport(n_delta)).
+//                         and each term searches from the smaller side of
+//                         its reduced transportation problem (one SSSP per
+//                         changed user, or one per bank-side bin and
+//                         active bank cluster) to build exactly the ground
+//                         distances it needs. Time O(n_delta * (m + n log
+//                         n) + transport(n_delta)).
 //  * ComputeReference() - the direct dense computation (all-pairs ground
 //                         distance + full EMD*), used for validation and
 //                         as the Fig. 11 direct-solver baseline. The two
@@ -56,6 +58,9 @@ struct SndTermResult {
   int32_t num_suppliers = 0;
   int32_t num_consumers = 0;
   int32_t num_banks = 0;
+  // Shortest-path searches the term ran: min(plain-side bins, bank-side
+  // bins + active bank clusters) - see ComputeTermFast.
+  int32_t num_searches = 0;
 };
 
 struct SndResult {
@@ -204,9 +209,11 @@ class SndCalculator {
   // The users whose ground-distance *rows* feed the EMD* term
   // EMD*(from^op, to^op, D(from-or-to, op)): the surviving suppliers
   // after Lemma 2 cancellation, plus — when the supply side is lighter,
-  // i.e. the term runs the reverse-SSSP branch — the members of every
-  // active bank cluster. If none of these users' distance rows changed,
-  // the term's value is unchanged. Sorted ascending, deduplicated.
+  // so banks join the supply side — the members of every active bank
+  // cluster. These are distance *rows* d(s, .), whichever direction the
+  // term happens to search them in. If none of these users' distance
+  // rows changed, the term's value is unchanged. Sorted ascending,
+  // deduplicated.
   std::vector<int32_t> TermRowSources(const NetworkState& from,
                                       const NetworkState& to,
                                       Opinion op) const;
@@ -256,16 +263,19 @@ class SndCalculator {
 
   // Reusable per-lane scratch so batch evaluation does not reallocate the
   // O(n) SSSP workspaces for every term of every pair. The engine is built
-  // by MakeEngine() against the calculator's resolved backend.
+  // by MakeEngine() against the calculator's resolved backend; `sources`
+  // holds one search's seeds (a bin, or every member of a bank cluster),
+  // whichever side of the term the search starts from.
   struct TermScratch {
     explicit TermScratch(const SndCalculator& calc);
     std::unique_ptr<SsspEngine> engine;
     std::vector<int64_t> cluster_min;
+    std::vector<SsspSource> sources;
   };
 
   // Optional precomputed inputs for one term evaluation. Default
   // (all null) means: compute edge costs locally, use local scratch, and
-  // parallelize the per-row SSSPs on the shared pool when enabled.
+  // parallelize the term's SSSPs on the shared pool when enabled.
   struct TermContext {
     EdgeCostCache* cache = nullptr;  // With distance_state_index below.
     int32_t distance_state_index = -1;

@@ -91,8 +91,8 @@ struct SndOptions {
   // the value is identical either way.
   bool parallel_terms = false;
 
-  // Fan the independent per-row SSSPs of a term (one Dijkstra per
-  // changed supplier/consumer) out on the shared ThreadPool. Results are
+  // Fan the independent SSSPs of a term (one per origin on the side it
+  // searches from) out on the shared ThreadPool. Results are
   // bitwise identical for any thread count; run with SND_THREADS=1 (or
   // ThreadPool::SetGlobalThreads(1)) for strictly serial execution.
   bool parallel_sssp = true;

@@ -1,6 +1,6 @@
 // Pluggable single-source shortest-path engine layer.
 //
-// Every ground-distance consumer (the per-row SSSP fan-out of the reduced
+// Every ground-distance consumer (the per-term SSSP fan-out of the reduced
 // SND transportation problem, the dense reference matrix, cluster
 // diameters, the ICC model's distance-to-active-set) runs its searches
 // through the SsspEngine interface instead of a hard-wired algorithm:
@@ -21,14 +21,17 @@
 //
 // Engines own reusable workspaces: the distance array, heap/buckets and
 // target bitmap are allocated once and recycled across Run calls, so the
-// n_delta back-to-back searches of the fast SND path allocate nothing.
+// back-to-back searches of the fast SND path allocate nothing.
 //
 // SsspGoal adds target-pruned early exit: a search can stop as soon as a
 // supplied target set is settled (distances final) instead of settling
-// all n nodes - the reduced problem only reads the rows' entries at the
-// consumer bins and bank members, which are typically far fewer than n.
-// Settled-target entries are exact, so results are bitwise identical to a
-// full search on those entries, for every backend.
+// all n nodes. Each SND term reads a search only at the opposite side of
+// its reduced problem: the bank-side bins and bank-cluster members for a
+// search from a plain-side bin, the plain-side bins for a search from
+// the bank side (a bin, or a bank cluster seeded from all its members) -
+// typically far fewer than n. Settled-target entries are exact, so
+// results are bitwise identical to a full search on those entries, for
+// every backend and either search direction.
 #ifndef SND_PATHS_SSSP_ENGINE_H_
 #define SND_PATHS_SSSP_ENGINE_H_
 

@@ -981,6 +981,12 @@ StatusOr<Response> SndService::ComputeLocked(const Request& request,
   const int64_t first = session->first_state_index;
 
   const auto* distance = std::get_if<DistanceRequest>(&request);
+  if (distance != nullptr && num_states == 0) {
+    // Like series/matrix below: the session exists but has no states yet
+    // (for example between load_graph and load_states).
+    return Status::FailedPrecondition(
+        "distance: no states loaded (have 0 states)");
+  }
   if (distance != nullptr) {
     for (const int32_t index : {distance->i, distance->j}) {
       if (index < 0 || index < first || index >= first + num_states) {

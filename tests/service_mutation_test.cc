@@ -8,6 +8,7 @@
 // appends, termination reasons).
 #include "snd/service/service.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <sstream>
@@ -295,6 +296,84 @@ TEST_F(ServiceMutationTest, TargetedInvalidationBeatsFullReloadWarm10k) {
   std::remove(big_graph.c_str());
   std::remove(big_states_path.c_str());
   std::remove(mutated_path.c_str());
+}
+
+// A pair whose terms all search from the bank side (few users hold an
+// opinion in one state, many in the other). Its cached value must
+// survive a mutation that cannot touch its distance rows, and every
+// answer must stay bitwise equal to a rebuild on the mutated graph.
+TEST_F(ServiceMutationTest, BankSideSearchedPairMatchesRebuildAcrossMutations) {
+  constexpr int32_t kMain = 40;
+  constexpr int32_t kTotal = 46;
+  std::vector<Edge> edges;
+  AppendRing(0, kMain, &edges);
+  AppendRing(kMain, kTotal, &edges);  // Detached: holds no opinion.
+  const Graph base = Graph::FromEdges(kTotal, std::move(edges));
+  std::vector<int8_t> s0(kTotal, 0), s1(kTotal, 0);
+  for (size_t u = 0; u < 20; ++u) s0[u] = 1;
+  s0[30] = -1;
+  s0[31] = -1;
+  for (size_t u = 21; u < kMain; ++u) s1[u] = -1;
+  s1[0] = 1;
+  s1[25] = 1;
+  const std::vector<NetworkState> pair = {NetworkState::FromValues(s0),
+                                          NetworkState::FromValues(s1)};
+  {
+    const SndCalculator calc(&base, SndOptions{});
+    for (const SndTermResult& term : calc.Compute(pair[0], pair[1]).terms) {
+      EXPECT_LT(term.num_searches,
+                std::max(term.num_suppliers, term.num_consumers));
+    }
+  }
+  const std::string base_path = MutTempPath("bank_side.edges");
+  const std::string pair_path = MutTempPath("bank_side.states");
+  ASSERT_TRUE(WriteEdgeList(base, base_path));
+  ASSERT_TRUE(WriteStateSeries(pair, pair_path));
+  SndService warm;
+  ASSERT_TRUE(warm.Call("load_graph g " + base_path).ok);
+  ASSERT_TRUE(warm.Call("load_states g " + pair_path).ok);
+  const ServiceResponse original = warm.Call("distance g 0 1");
+  ASSERT_TRUE(original.ok) << original.header;
+
+  const std::string rebuilt_path = MutTempPath("bank_side_rebuilt.edges");
+  auto expect_rebuild_equal = [&](std::vector<Edge> graph_edges,
+                                  const std::string& label) {
+    ASSERT_TRUE(WriteEdgeList(Graph::FromEdges(kTotal, std::move(graph_edges)),
+                              rebuilt_path));
+    SndService fresh;
+    ASSERT_TRUE(fresh.Call("load_graph g " + rebuilt_path).ok);
+    ASSERT_TRUE(fresh.Call("load_states g " + pair_path).ok);
+    EXPECT_EQ(warm.Call("distance g 0 1").header,
+              fresh.Call("distance g 0 1").header)
+        << label;
+  };
+  std::vector<Edge> with_chord = base.ToEdgeList();
+  with_chord.push_back({40, 43});
+
+  // Inside the detached ring: no distance row of the pair changes, so
+  // the cached value is retained.
+  const ServiceResponse added = warm.Call("add_edge g 40 43");
+  ASSERT_TRUE(added.ok) << added.header;
+  EXPECT_GE(HeaderField(added.header, "retained"), 1) << added.header;
+  expect_rebuild_equal(with_chord, "add_edge 40 43");
+  const ServiceResponse removed = warm.Call("remove_edge g 40 43");
+  ASSERT_TRUE(removed.ok) << removed.header;
+  EXPECT_GE(HeaderField(removed.header, "retained"), 1) << removed.header;
+  expect_rebuild_equal(base.ToEdgeList(), "remove_edge 40 43");
+
+  // A shortcut across the main ring changes distance rows, so the pair
+  // is searched again on the mutated graph.
+  ASSERT_TRUE(warm.Call("add_edge g 10 30").ok);
+  std::vector<Edge> with_shortcut = base.ToEdgeList();
+  with_shortcut.push_back({10, 30});
+  expect_rebuild_equal(with_shortcut, "add_edge 10 30");
+  ASSERT_TRUE(warm.Call("remove_edge g 10 30").ok);
+  expect_rebuild_equal(base.ToEdgeList(), "remove_edge 10 30");
+  EXPECT_EQ(warm.Call("distance g 0 1").header, original.header);
+
+  std::remove(base_path.c_str());
+  std::remove(pair_path.c_str());
+  std::remove(rebuilt_path.c_str());
 }
 
 TEST_F(ServiceMutationTest, RetentionWindowSlidesAndKeepsGlobalIndices) {

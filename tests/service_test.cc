@@ -219,11 +219,15 @@ TEST_F(ServiceTest, ReloadBumpsEpochAndInvalidatesCachedResults) {
 
   // States were reset by the reload; the old query is recomputed from
   // scratch under the new epoch.
-  const ServiceResponse stale = service.Call("distance g 0 1");
-  EXPECT_FALSE(stale.ok);
-  EXPECT_NE(stale.header.find("out of range (have 0 states)"),
-            std::string::npos)
-      << stale.header;
+  DistanceRequest stale_request;
+  stale_request.name = "g";
+  stale_request.i = 0;
+  stale_request.j = 1;
+  const StatusOr<Response> stale = service.Dispatch(Request(stale_request));
+  ASSERT_FALSE(stale.ok());
+  EXPECT_EQ(stale.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(stale.status().message(),
+            "distance: no states loaded (have 0 states)");
   ASSERT_TRUE(service.Call("load_states g " + states_path_).ok);
   const ServiceResponse recomputed = service.Call("distance g 0 1");
   ASSERT_TRUE(recomputed.ok);

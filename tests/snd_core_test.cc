@@ -1,6 +1,8 @@
 #include "snd/core/snd.h"
 
+#include <algorithm>
 #include <cmath>
+#include <ios>
 
 #include <gtest/gtest.h>
 
@@ -12,6 +14,7 @@ namespace {
 
 using testing_util::RandomState;
 using testing_util::RandomSymmetricGraph;
+using testing_util::SkewedStates;
 
 SndOptions BaseOptions() {
   SndOptions options;
@@ -297,6 +300,137 @@ TEST(SndCalculatorTest, GroundDistanceMatrixDiagonalIsZero) {
       EXPECT_LE(d.At(u, v), static_cast<double>(calc.DisconnectionCost()));
     }
   }
+}
+
+// Each term searches from whichever side of its reduced problem has
+// fewer origins: one search per plain-side bin (the side without
+// banks), or one per bank-side bin plus one multi-source search per
+// active bank cluster. Distances are exact integers either way, so the
+// direction must not move any SND value.
+
+// Whether `term` of Compute(a, b) has the lighter supply side; banks
+// then join the supply side and the consumers form the plain side.
+bool SupplyLighter(const SndTermResult& term, const NetworkState& a,
+                   const NetworkState& b) {
+  const NetworkState& from = term.forward ? a : b;
+  const NetworkState& to = term.forward ? b : a;
+  return from.CountOpinion(term.op) < to.CountOpinion(term.op);
+}
+
+int32_t PlainBins(const SndTermResult& term, const NetworkState& a,
+                  const NetworkState& b) {
+  return SupplyLighter(term, a, b) ? term.num_consumers : term.num_suppliers;
+}
+
+int32_t PairedBins(const SndTermResult& term, const NetworkState& a,
+                   const NetworkState& b) {
+  return SupplyLighter(term, a, b) ? term.num_suppliers : term.num_consumers;
+}
+
+// Compute(heavy, light) over SkewedStates: the forward terms of + and
+// the reverse terms of - have q lighter (banks on the demand side), the
+// other two p lighter (banks on the supply side).
+constexpr bool kSupplyLighter[4] = {false, true, true, false};
+
+struct BankSideCase {
+  const char* name;
+  BankStrategy banks;
+  int32_t banks_per_cluster;
+  bool directed;
+  // Recorded with one search per plain-side bin.
+  double value;
+  double terms[4];
+};
+
+TEST(SndCalculatorTest, BankSideSearchesKeepValuesBitwise) {
+  const BankSideCase kCases[] = {
+      {"per_bin/symmetric", BankStrategy::kPerBin, 1, false,
+       0x1.32d5555555555p+10,
+       {0x1.06aaaaaaaaaaap+7, 0x1.858p+9, 0x1.6a55555555555p+10, 0x1.7cp+6}},
+      {"per_cluster2/symmetric", BankStrategy::kPerCluster, 2, false,
+       0x1.49d1555555555p+13,
+       {0x1.4bd5555555555p+12, 0x1.435p+12, 0x1.615p+12, 0x1.36dp+12}},
+      {"global/symmetric", BankStrategy::kSingleGlobal, 1, false,
+       0x1.006p+13, {0x1.082p+12, 0x1.ef4p+11, 0x1.0a2p+12, 0x1.ef4p+11}},
+      {"per_bin/directed", BankStrategy::kPerBin, 1, true,
+       0x1.0b21555555553p+12,
+       {0x1.9f7555555554dp+11, 0x1.fb9ffffffffffp+10, 0x1.268aaaaaaaaaap+11,
+        0x1.a2d5555555555p+9}},
+      {"per_cluster2/directed", BankStrategy::kPerCluster, 2, true,
+       0x1.6595555555555p+13,
+       {0x1.72fp+12, 0x1.5a35555555555p+12, 0x1.78ep+12, 0x1.505p+12}},
+      {"global/directed", BankStrategy::kSingleGlobal, 1, true, 0x1.8558p+13,
+       {0x1.8c1p+12, 0x1.7e6p+12, 0x1.88ap+12, 0x1.825p+12}},
+  };
+  constexpr int32_t kN = 80;
+  for (const BankSideCase& c : kCases) {
+    SCOPED_TRACE(c.name);
+    Rng rng(c.directed ? 91 : 90);
+    Graph g = RandomSymmetricGraph(kN, 3 * kN / 2, &rng);
+    if (c.directed) {
+      // Thinning the arcs one way at a time makes distances asymmetric,
+      // so a search over the wrong graph or cost buffer moves the value.
+      std::vector<Edge> arcs;
+      for (const Edge& e : g.ToEdgeList()) {
+        if (rng.Bernoulli(0.7)) arcs.push_back(e);
+      }
+      g = Graph::FromEdges(kN, std::move(arcs));
+    }
+    const auto [heavy, light] = SkewedStates(kN, &rng);
+    SndOptions options;
+    options.bank_strategy = c.banks;
+    options.banks_per_cluster = c.banks_per_cluster;
+    const SndCalculator calc(&g, options);
+    const SndResult result = calc.Compute(heavy, light);
+    EXPECT_EQ(result.value, c.value)
+        << std::hexfloat << result.value << " vs " << c.value;
+    for (size_t k = 0; k < result.terms.size(); ++k) {
+      const SndTermResult& term = result.terms[k];
+      EXPECT_EQ(term.cost, c.terms[k])
+          << "term " << k << ": " << std::hexfloat << term.cost;
+      EXPECT_EQ(SupplyLighter(term, heavy, light), kSupplyLighter[k]);
+      // Every term, on either branch, is searched from its bank side.
+      EXPECT_GT(term.num_banks, 0) << "term " << k;
+      EXPECT_LT(term.num_searches, PlainBins(term, heavy, light))
+          << "term " << k;
+    }
+  }
+}
+
+TEST(SndCalculatorTest, SearchesFromTheSideWithFewerOrigins) {
+  // A 40-node ring with per-bin banks, so every active bank is its own
+  // cluster. The + terms (20 vs 5 users) have 17 plain-side bins against
+  // 2 bank-side bins and 5 banks; the - terms (4 vs 3 users) have 4
+  // plain-side bins against 3 bank-side bins and 3 banks.
+  constexpr int32_t kN = 40;
+  std::vector<Edge> edges;
+  for (int32_t u = 0; u < kN; ++u) {
+    edges.push_back({u, (u + 1) % kN});
+    edges.push_back({(u + 1) % kN, u});
+  }
+  const Graph g = Graph::FromEdges(kN, std::move(edges));
+  NetworkState a(kN), b(kN);
+  for (int32_t u = 0; u < 20; ++u) a.set_opinion(u, Opinion::kPositive);
+  for (int32_t u = 30; u < 34; ++u) a.set_opinion(u, Opinion::kNegative);
+  for (int32_t u : {0, 1, 2, 25, 26}) b.set_opinion(u, Opinion::kPositive);
+  for (int32_t u = 34; u < 37; ++u) b.set_opinion(u, Opinion::kNegative);
+  const SndCalculator calc(&g, SndOptions{});
+  const int64_t runs_before = calc.work_counters().sssp_runs;
+  const SndResult result = calc.Compute(a, b);
+  const int64_t runs = calc.work_counters().sssp_runs - runs_before;
+
+  int64_t expected = 0;
+  int64_t reported = 0;
+  for (const SndTermResult& term : result.terms) {
+    expected += std::min(PlainBins(term, a, b),
+                         PairedBins(term, a, b) + term.num_banks);
+    reported += term.num_searches;
+  }
+  EXPECT_EQ(runs, expected);
+  EXPECT_EQ(reported, expected);
+  EXPECT_EQ(expected, 7 + 4 + 7 + 4);
+  EXPECT_NEAR(result.value, calc.ComputeReference(a, b).value,
+              1e-9 * (1.0 + result.value));
 }
 
 }  // namespace

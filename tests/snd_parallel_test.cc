@@ -3,6 +3,7 @@
 // return bitwise-identical values for any thread count, and the batch
 // paths (cached edge costs, shared reversed-cost buffers) must agree
 // exactly with the single-pair path.
+#include <algorithm>
 #include <thread>
 #include <vector>
 
@@ -64,6 +65,39 @@ TEST_F(SndParallelTest, ComputeIsBitwiseIdenticalAcrossThreadCounts) {
       EXPECT_EQ(calc.Compute(a, b).value, reference)
           << "threads=" << threads << " parallel_terms=" << parallel_terms;
     }
+  }
+}
+
+// A skewed pair makes every term search from its bank side: per-bin
+// searches and per-cluster multi-source searches then fan out over the
+// pool, each writing its own columns (q lighter) or rows (p lighter).
+TEST_F(SndParallelTest, BankSideSearchesAreBitwiseIdenticalAcrossThreadCounts) {
+  Rng rng(16);
+  const int32_t n = 120;
+  const Graph graph = RandomSymmetricGraph(n, 240, &rng);
+  const auto [heavy, light] = testing_util::SkewedStates(n, &rng);
+  const std::vector<NetworkState> states = {heavy, light};
+  for (const BankStrategy banks :
+       {BankStrategy::kPerBin, BankStrategy::kPerCluster}) {
+    SndOptions options;
+    options.bank_strategy = banks;
+    options.banks_per_cluster = 2;
+    const SndCalculator calc(&graph, options);
+    ThreadPool::SetGlobalThreads(1);
+    const SndResult reference = calc.Compute(heavy, light);
+    for (const SndTermResult& term : reference.terms) {
+      EXPECT_LT(term.num_searches,
+                std::max(term.num_suppliers, term.num_consumers));
+    }
+    ThreadPool::SetGlobalThreads(4);
+    const SndResult parallel = calc.Compute(heavy, light);
+    EXPECT_EQ(parallel.value, reference.value) << BankStrategyName(banks);
+    for (size_t k = 0; k < parallel.terms.size(); ++k) {
+      EXPECT_EQ(parallel.terms[k].cost, reference.terms[k].cost)
+          << BankStrategyName(banks) << " term " << k;
+    }
+    EXPECT_EQ(calc.BatchDistances(states, {{0, 1}})[0], reference.value)
+        << BankStrategyName(banks);
   }
 }
 

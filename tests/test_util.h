@@ -3,6 +3,7 @@
 #define SND_TESTS_TEST_UTIL_H_
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "snd/emd/dense_matrix.h"
@@ -64,6 +65,31 @@ inline NetworkState RandomState(int32_t n, double active_fraction, Rng* rng) {
     }
   }
   return state;
+}
+
+// A state pair whose EMD* terms all have a small bank side: `heavy`
+// holds + at about half the users and - at about 5%, `light` the
+// reverse. In every term the lighter histogram, whose bins become the
+// banks, covers few users, against about n/2 changed users on the
+// term's plain side, so SndCalculator searches from the bank side.
+inline std::pair<NetworkState, NetworkState> SkewedStates(int32_t n,
+                                                          Rng* rng) {
+  NetworkState heavy(n), light(n);
+  for (int32_t u = 0; u < n; ++u) {
+    const double h = rng->UniformReal();
+    if (h < 0.5) {
+      heavy.set_opinion(u, Opinion::kPositive);
+    } else if (h < 0.55) {
+      heavy.set_opinion(u, Opinion::kNegative);
+    }
+    const double l = rng->UniformReal();
+    if (l < 0.05) {
+      light.set_opinion(u, Opinion::kPositive);
+    } else if (l < 0.55) {
+      light.set_opinion(u, Opinion::kNegative);
+    }
+  }
+  return {heavy, light};
 }
 
 // Dense all-pairs shortest-path matrix with unreachable pairs mapped to
