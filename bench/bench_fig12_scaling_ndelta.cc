@@ -7,15 +7,18 @@
 // reduced problem, so the SSSP stage grows as min(n_delta/2, bank bins)
 // searches per term: linearly at first, then flat once the changed users
 // outnumber the bank bins (past n_delta of about 600 at reduced scale).
-// The `searches` column lists the four terms' search counts.
+// The `searches` column lists the four terms' search counts, and
+// `passes` the engine passes that ran them: 16-lane DialLaneEngine
+// batches plus single searches.
 //
 // The calculator runs its SSSPs serially, as the paper's timings do, so
 // the figures do not depend on the machine's core count. Per-layer times
 // come from the obs phase timers production uses: each Compute runs under
 // its own RequestTrace, and the sssp / transport columns are that trace's
 // phase_ns. fig12.transport_share is transport's share of the edge-cost +
-// SSSP + transport time over the whole sweep; fig12.sssp_runs is the
-// sweep's total search count (deterministic for the seeded workload).
+// SSSP + transport time over the whole sweep; fig12.sssp_runs and
+// fig12.sssp_passes are the sweep's total search and pass counts
+// (deterministic for the seeded workload).
 #include <cstdio>
 #include <string>
 
@@ -59,9 +62,9 @@ int main() {
                       trace.phase_ns[static_cast<int>(p)].load());
   };
   snd::TablePrinter table(
-      {"n_delta", "total s", "sssp s", "transport s", "searches"});
+      {"n_delta", "total s", "sssp s", "transport s", "searches", "passes"});
   double work = 0.0, transport_work = 0.0;
-  int64_t sssp_runs = 0;
+  int64_t sssp_runs = 0, sssp_passes = 0;
   for (int32_t n_delta : deltas) {
     const snd::NetworkState next =
         snd::RandomTransition(base, n_delta, evolution.rng());
@@ -78,15 +81,18 @@ int main() {
     work += phase_s(trace, snd::obs::ObsPhase::kEdgeCost) + sssp + transport;
     transport_work += transport;
     sssp_runs += trace.sssp_runs.load();
-    std::string searches;
+    std::string searches, passes;
     for (const snd::SndTermResult& term : result.terms) {
       if (!searches.empty()) searches += "/";
+      if (!passes.empty()) passes += "/";
       searches += std::to_string(term.num_searches);
+      passes += std::to_string(term.num_passes);
+      sssp_passes += term.num_passes;
     }
     table.AddRow({snd::TablePrinter::Fmt(int64_t{n_delta}),
                   snd::TablePrinter::Fmt(seconds, 3),
                   snd::TablePrinter::Fmt(sssp, 3),
-                  snd::TablePrinter::Fmt(transport, 3), searches});
+                  snd::TablePrinter::Fmt(transport, 3), searches, passes});
     std::printf("n_delta=%-6d %.3fs (sssp %.3f, transport %.3f)\n", n_delta,
                 seconds, sssp, transport);
   }
@@ -95,5 +101,7 @@ int main() {
   snd::bench::PrintMetric("fig12.transport_share",
                           work > 0.0 ? transport_work / work : 0.0);
   snd::bench::PrintMetric("fig12.sssp_runs", static_cast<double>(sssp_runs));
+  snd::bench::PrintMetric("fig12.sssp_passes",
+                          static_cast<double>(sssp_passes));
   return 0;
 }

@@ -3,8 +3,9 @@
 // for the radix-heap Dijkstra in Theorem 4's complexity bound) vs
 // parallel delta-stepping vs the kAuto resolution, swept over the
 // edge-cost bound U to locate the crossover, plus a threads x U x n
-// delta-stepping sweep and the target-pruned vs full-search speedup that
-// the reduced SND transportation problem exploits.
+// delta-stepping sweep, the target-pruned vs full-search speedup that
+// the reduced SND transportation problem exploits, and the multi-lane
+// Dial batch that runs 16 of a term's searches in one bucket sweep.
 //
 // Emits BENCH_METRIC lines (scraped into the bench-all JSON) that
 // tools/check_perf_budget.py compares against bench/budgets.json:
@@ -16,6 +17,9 @@
 //   sssp.speedup.dial.n{n}.u{U}              Dijkstra ms / Dial ms
 //   sssp.speedup.pruned.{backend}.k{k}       full ms / pruned ms with k
 //                                            targets
+//   sssp.speedup.lanes16.n{n}.u{U}           16 DialEngine searches ms /
+//                                            one 16-lane DialLaneEngine
+//                                            batch ms, same sources
 #include <algorithm>
 #include <cstdio>
 #include <memory>
@@ -23,6 +27,7 @@
 
 #include "bench_common.h"
 #include "snd/graph/generators.h"
+#include "snd/paths/dial_lanes.h"
 #include "snd/paths/sssp_engine.h"
 #include "snd/util/random.h"
 #include "snd/util/stopwatch.h"
@@ -224,6 +229,51 @@ int main() {
         dial_full, dial_pruned,
         dial_pruned > 0 ? dial_full / dial_pruned : 0.0);
   }
+
+  // 16 full searches as one DialLaneEngine batch vs one at a time with
+  // DialEngine, at the SND default model's U (33). The batch scans each
+  // node's arcs once for all lanes in 16-byte vector words; a build that
+  // lowers those words to scalar code runs it slower than the singles.
+  const int32_t lanes_u = 33;
+  constexpr int32_t kLanes = snd::DialLaneEngine::kMaxLanes;
+  const Instance lanes_instance = MakeInstance(n, lanes_u, &rng);
+  snd::DialEngine single(n, lanes_u);
+  snd::DialLaneEngine lanes(n, lanes_u);
+  const int32_t rounds = 4;
+  double singles_ms = 0.0, batch_ms = 0.0;
+  for (int32_t r = 0; r < rounds; ++r) {
+    std::vector<int32_t> nodes(kLanes);
+    std::vector<std::span<const int32_t>> lane_sources;
+    for (int32_t l = 0; l < kLanes; ++l) {
+      nodes[static_cast<size_t>(l)] =
+          static_cast<int32_t>(rng.UniformInt(0, n - 1));
+    }
+    for (const int32_t& node : nodes) lane_sources.emplace_back(&node, 1);
+    snd::Stopwatch single_watch;
+    for (const int32_t node : nodes) {
+      const snd::SsspSource source{node, 0};
+      const auto dist = single.Run(
+          lanes_instance.graph, lanes_instance.costs,
+          std::span<const snd::SsspSource>(&source, 1),
+          snd::SsspGoal::AllNodes());
+      sink ^= dist[static_cast<size_t>(n - 1)];
+    }
+    singles_ms += single_watch.ElapsedMillis();
+    snd::Stopwatch watch;
+    lanes.Run(lanes_instance.graph, lanes_instance.costs, lane_sources);
+    batch_ms += watch.ElapsedMillis();
+    sink ^= lanes.Distance(kLanes - 1, n - 1);
+  }
+  if (batch_ms > 0) {
+    std::snprintf(name, sizeof(name), "sssp.speedup.lanes16.n%d.u%d", n,
+                  lanes_u);
+    snd::bench::PrintMetric(name, singles_ms / batch_ms);
+  }
+  std::printf(
+      "16-lane batch vs 16 dial searches (U=%d, %d rounds): %.3f -> %.3f "
+      "ms (x%.2f)\n",
+      lanes_u, rounds, singles_ms / rounds, batch_ms / rounds,
+      batch_ms > 0 ? singles_ms / batch_ms : 0.0);
 
   std::printf("\nchecksum: %lld\n", static_cast<long long>(sink));
   std::printf("total time: %.3f s\n", total.ElapsedSeconds());

@@ -14,8 +14,10 @@
 //                         its reduced transportation problem (one SSSP per
 //                         changed user, or one per bank-side bin and
 //                         active bank cluster) to build exactly the ground
-//                         distances it needs. Time O(n_delta * (m + n log
-//                         n) + transport(n_delta)).
+//                         distances it needs; with the Dial backend the
+//                         searches run 16 at a time in DialLaneEngine
+//                         batches. Time O(n_delta * (m + n log n) +
+//                         transport(n_delta)).
 //  * ComputeReference() - the direct dense computation (all-pairs ground
 //                         distance + full EMD*), used for validation and
 //                         as the Fig. 11 direct-solver baseline. The two
@@ -45,8 +47,11 @@
 #include "snd/opinion/network_state.h"
 #include "snd/opinion/opinion_model.h"
 #include "snd/paths/sssp_engine.h"
+#include "snd/util/mutex.h"
 
 namespace snd {
+
+class DialLaneEngine;
 
 // One of the four EMD* terms of Eq. 3.
 struct SndTermResult {
@@ -61,6 +66,9 @@ struct SndTermResult {
   // Shortest-path searches the term ran: min(plain-side bins, bank-side
   // bins + active bank clusters) - see ComputeTermFast.
   int32_t num_searches = 0;
+  // Engine passes that ran them: 16-lane batches plus single searches
+  // (equal to num_searches when the term does not batch).
+  int32_t num_passes = 0;
 };
 
 struct SndResult {
@@ -265,17 +273,20 @@ class SndCalculator {
   // O(n) SSSP workspaces for every term of every pair. The engine is built
   // by MakeEngine() against the calculator's resolved backend; `sources`
   // holds one search's seeds (a bin, or every member of a bank cluster),
-  // whichever side of the term the search starts from.
+  // whichever side of the term the search starts from. `lanes` (128 B per
+  // node) is created by the first batched pass that runs on this scratch.
   struct TermScratch {
     explicit TermScratch(const SndCalculator& calc);
+    ~TermScratch();
     std::unique_ptr<SsspEngine> engine;
+    std::unique_ptr<DialLaneEngine> lanes;
     std::vector<int64_t> cluster_min;
     std::vector<SsspSource> sources;
   };
 
   // Optional precomputed inputs for one term evaluation. Default
-  // (all null) means: compute edge costs locally, use local scratch, and
-  // parallelize the term's SSSPs on the shared pool when enabled.
+  // (all null) means: compute edge costs locally, use a spare scratch,
+  // and parallelize the term's SSSPs on the shared pool when enabled.
   struct TermContext {
     EdgeCostCache* cache = nullptr;  // With distance_state_index below.
     int32_t distance_state_index = -1;
@@ -292,10 +303,21 @@ class SndCalculator {
   // scratch lane; engines are not thread-safe).
   std::unique_ptr<SsspEngine> MakeEngine() const;
 
+  // A spare term scratch, or a new one. Callers hand it back with
+  // ReturnScratch when their computation ends, so the search workspaces
+  // (the lane rows alone take 128 B per node) are allocated once per
+  // concurrent caller rather than once per call; freeing and reallocating
+  // them per call also makes the allocator grow the heap around them.
+  std::unique_ptr<TermScratch> TakeScratch() const;
+  void ReturnScratch(std::unique_ptr<TermScratch> scratch) const;
+
   const Graph* graph_;
   SndOptions options_;
   std::unique_ptr<OpinionModel> model_;
   SsspBackend sssp_backend_ = SsspBackend::kDijkstra;  // Resolved in ctor.
+  // Whether terms may run their searches through DialLaneEngine: the
+  // backend is Dial and int32 lanes hold every distance (LanesFit).
+  bool batch_searches_ = false;
   std::unique_ptr<TransportSolver> solver_;  // Stateless; shared by threads.
   Graph reversed_;
   std::vector<int64_t> reverse_origin_;  // Reversed edge -> original edge.
@@ -309,6 +331,10 @@ class SndCalculator {
   mutable std::atomic<int64_t> transport_solves_{0};
   mutable std::atomic<int64_t> edge_cost_builds_{0};
   mutable std::atomic<int64_t> edge_cost_patches_{0};
+
+  mutable Mutex scratch_mu_;
+  mutable std::vector<std::unique_ptr<TermScratch>> spare_scratch_
+      SND_GUARDED_BY(scratch_mu_);
 };
 
 }  // namespace snd

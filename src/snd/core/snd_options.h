@@ -63,8 +63,11 @@ struct SndOptions {
   // Shortest-path backend behind every ground-distance search (CLI:
   // --sssp). kAuto picks Dial's bucket queue when the model's
   // MaxEdgeCost() (Assumption 2's U) is small relative to the graph size,
-  // binary-heap Dijkstra otherwise; SND values are bitwise identical for
-  // every choice.
+  // delta-stepping outside that regime on large graphs with enough pool
+  // threads, binary-heap Dijkstra otherwise (ResolveSsspBackend). With
+  // Dial, terms with enough origins run their searches 16 at a time
+  // through DialLaneEngine. SND values are bitwise identical for every
+  // choice.
   SsspBackend sssp_backend = SsspBackend::kAuto;
 
   BankStrategy bank_strategy = BankStrategy::kPerBin;

@@ -118,9 +118,9 @@ class ObsSpan {
 // Work-counter hooks for the core layer: bump the current trace's
 // delta alongside the calculator's own cumulative counters. No-ops
 // without an installed trace.
-inline void TraceCountSsspRun() {
+inline void TraceCountSsspRun(int64_t runs = 1) {
   if (RequestTrace* t = CurrentRequestTrace()) {
-    t->sssp_runs.fetch_add(1, std::memory_order_relaxed);
+    t->sssp_runs.fetch_add(runs, std::memory_order_relaxed);
   }
 }
 inline void TraceCountTransportSolve() {

@@ -23,6 +23,15 @@
 // target bitmap are allocated once and recycled across Run calls, so the
 // back-to-back searches of the fast SND path allocate nothing.
 //
+// Beside the interface, DialLaneEngine (paths/dial_lanes.h) runs up to 16
+// full Dial searches in one bucket sweep, one per 32-bit SIMD lane of
+// each node's distance row; the SND fast path batches a term's searches
+// through it when the backend is Dial. Every engine run reports its
+// settled-node count to the obs trace (paths.settled_per_run is settled
+// nodes over engine runs): for the single-source engines that is the
+// nodes settled by one search, for a lane batch the node pops of the
+// whole sweep, where one pop expands one or more lanes.
+//
 // SsspGoal adds target-pruned early exit: a search can stop as soon as a
 // supplied target set is settled (distances final) instead of settling
 // all n nodes. Each SND term reads a search only at the opposite side of

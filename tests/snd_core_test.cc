@@ -429,8 +429,83 @@ TEST(SndCalculatorTest, SearchesFromTheSideWithFewerOrigins) {
   EXPECT_EQ(runs, expected);
   EXPECT_EQ(reported, expected);
   EXPECT_EQ(expected, 7 + 4 + 7 + 4);
+  for (const SndTermResult& term : result.terms) {
+    // Fewer than 16 origins: one search per origin, no batch.
+    EXPECT_EQ(term.num_passes, term.num_searches);
+  }
   EXPECT_NEAR(result.value, calc.ComputeReference(a, b).value,
               1e-9 * (1.0 + result.value));
+}
+
+// Terms with at least 16 origins per fan-out lane run their searches in
+// 16-lane DialLaneEngine batches: full batches, then a final batch when
+// at least 8 origins remain, else one search per leftover origin. The
+// lanes hold exact integer distances, so no value may move.
+struct BatchedCase {
+  const char* name;
+  BankStrategy banks;
+  bool directed;
+  // Recorded with one search per origin.
+  double value;
+  double terms[4];
+};
+
+// Passes of a term searched serially from `origins` origins.
+int32_t SerialPasses(int32_t origins) {
+  const int32_t tail = origins % 16;
+  return origins / 16 + (tail >= 8 ? 1 : tail);
+}
+
+TEST(SndCalculatorTest, BatchedSearchesKeepValuesBitwise) {
+  const BatchedCase kCases[] = {
+      {"per_bin/symmetric", BankStrategy::kPerBin, false,
+       0x1.eae0a97d5a0a6p+10,
+       {0x1.1333dcb08d3dbp+10, 0x1.821111111110cp+9, 0x1.c567b9611a7b5p+9,
+        0x1.1ed1111111111p+10}},
+      {"per_cluster2/symmetric", BankStrategy::kPerCluster, false,
+       0x1.71ep+13, {0x1.f21p+12, 0x1.c0cp+11, 0x1.fb8p+12, 0x1.f32p+11}},
+      {"per_bin/directed", BankStrategy::kPerBin, true, 0x1.789be875b37dfp+15,
+       {0x1.71fb9611a7b97p+10, 0x1.42e650d794359p+15, 0x1.edc93dcb08d3dp+14,
+        0x1.57ba08fb823d5p+14}},
+      {"per_cluster2/directed", BankStrategy::kPerCluster, true,
+       0x1.673af9f5c7515p+15,
+       {0x1.8aa8469ee5846p+12, 0x1.81f0ce98b3a6p+15, 0x1.97cb4f72c2352p+14,
+        0x1.3d29d31674c5dp+13}},
+  };
+  bool batched_tail = false;
+  bool single_tail = false;
+  for (const BatchedCase& c : kCases) {
+    SCOPED_TRACE(c.name);
+    const testing_util::BatchingCase input =
+        testing_util::MakeBatchingCase(c.directed);
+    SndOptions options;
+    options.bank_strategy = c.banks;
+    options.banks_per_cluster = 2;
+    options.parallel_sssp = false;  // One fan-out lane at any pool size.
+    const SndCalculator calc(&input.graph, options);
+    ASSERT_EQ(calc.sssp_backend(), SsspBackend::kDial);
+    const int64_t runs_before = calc.work_counters().sssp_runs;
+    const SndResult result = calc.Compute(input.a, input.b);
+    EXPECT_EQ(result.value, c.value)
+        << std::hexfloat << result.value << " vs " << c.value;
+    int64_t searches = 0;
+    for (size_t k = 0; k < result.terms.size(); ++k) {
+      const SndTermResult& term = result.terms[k];
+      EXPECT_EQ(term.cost, c.terms[k])
+          << "term " << k << ": " << std::hexfloat << term.cost;
+      EXPECT_GE(term.num_searches, 16) << "term " << k;
+      EXPECT_EQ(term.num_passes, SerialPasses(term.num_searches))
+          << "term " << k;
+      const int32_t tail = term.num_searches % 16;
+      batched_tail = batched_tail || tail >= 8;
+      single_tail = single_tail || (tail > 0 && tail < 8);
+      searches += term.num_searches;
+    }
+    // A batch counts one search per lane.
+    EXPECT_EQ(calc.work_counters().sssp_runs - runs_before, searches);
+  }
+  EXPECT_TRUE(batched_tail);
+  EXPECT_TRUE(single_tail);
 }
 
 }  // namespace

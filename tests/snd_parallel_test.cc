@@ -4,6 +4,7 @@
 // paths (cached edge costs, shared reversed-cost buffers) must agree
 // exactly with the single-pair path.
 #include <algorithm>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -98,6 +99,68 @@ TEST_F(SndParallelTest, BankSideSearchesAreBitwiseIdenticalAcrossThreadCounts) {
     }
     EXPECT_EQ(calc.BatchDistances(states, {{0, 1}})[0], reference.value)
         << BankStrategyName(banks);
+  }
+}
+
+// MakeBatchingCase's terms search from 50-92 origins. At one thread
+// every term runs 16-lane batches; at four, only terms with at least 64
+// origins (16 per fan-out lane) do, and the rest search per origin on
+// the pool; BatchDistances (one pair per lane) batches every term again.
+TEST_F(SndParallelTest, BatchedSearchesAreBitwiseIdenticalAcrossThreadCounts) {
+  for (const bool directed : {false, true}) {
+    const testing_util::BatchingCase input =
+        testing_util::MakeBatchingCase(directed);
+    const std::vector<NetworkState> states = {input.a, input.b};
+    for (const BankStrategy banks :
+         {BankStrategy::kPerBin, BankStrategy::kPerCluster}) {
+      SCOPED_TRACE(std::string(BankStrategyName(banks)) +
+                   (directed ? "/directed" : "/symmetric"));
+      SndOptions options;
+      options.bank_strategy = banks;
+      options.banks_per_cluster = 2;
+      const SndCalculator calc(&input.graph, options);
+      ThreadPool::SetGlobalThreads(1);
+      const SndResult serial = calc.Compute(input.a, input.b);
+      for (const SndTermResult& term : serial.terms) {
+        EXPECT_LT(term.num_passes, term.num_searches);
+      }
+      ThreadPool::SetGlobalThreads(4);
+      const SndResult parallel = calc.Compute(input.a, input.b);
+      EXPECT_EQ(parallel.value, serial.value);
+      for (size_t k = 0; k < parallel.terms.size(); ++k) {
+        EXPECT_EQ(parallel.terms[k].cost, serial.terms[k].cost) << "term " << k;
+      }
+      EXPECT_EQ(calc.BatchDistances(states, {{0, 1}})[0], serial.value);
+    }
+  }
+}
+
+TEST_F(SndParallelTest, TermsBelowSixteenOriginsPerFanOutLaneSearchPerOrigin) {
+  const testing_util::BatchingCase input =
+      testing_util::MakeBatchingCase(/*directed=*/false);
+  ThreadPool::SetGlobalThreads(4);
+  // Per-cluster banks: 50 and 58 origins, under 4 lanes x 16.
+  SndOptions options;
+  options.bank_strategy = BankStrategy::kPerCluster;
+  options.banks_per_cluster = 2;
+  const SndCalculator clustered(&input.graph, options);
+  for (const SndTermResult& term : clustered.Compute(input.a, input.b).terms) {
+    EXPECT_LT(term.num_searches, 4 * 16);
+    EXPECT_EQ(term.num_passes, term.num_searches);
+  }
+  // Per-bin banks: 73 and 88 origins, enough for every lane.
+  options.bank_strategy = BankStrategy::kPerBin;
+  const SndCalculator per_bin(&input.graph, options);
+  for (const SndTermResult& term : per_bin.Compute(input.a, input.b).terms) {
+    EXPECT_GE(term.num_searches, 4 * 16);
+    EXPECT_LT(term.num_passes, term.num_searches);
+  }
+  // Only the Dial backend batches.
+  ThreadPool::SetGlobalThreads(1);
+  options.sssp_backend = SsspBackend::kDijkstra;
+  const SndCalculator dijkstra(&input.graph, options);
+  for (const SndTermResult& term : dijkstra.Compute(input.a, input.b).terms) {
+    EXPECT_EQ(term.num_passes, term.num_searches);
   }
 }
 

@@ -1,6 +1,8 @@
 // The pluggable SSSP engine layer: backend resolution, workspace reuse,
-// and the target-pruned early-exit contract (settled-target entries are
-// bitwise identical to a full search, for every backend).
+// the target-pruned early-exit contract (settled-target entries are
+// bitwise identical to a full search, for every backend), and the
+// multi-lane Dial engine (every lane bitwise identical to a full
+// DialEngine search from its sources).
 #include "snd/paths/sssp_engine.h"
 
 #include <memory>
@@ -9,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include "snd/obs/trace.h"
+#include "snd/paths/dial_lanes.h"
 #include "snd/paths/dijkstra.h"
 #include "snd/util/thread_pool.h"
 #include "test_util.h"
@@ -340,6 +344,154 @@ TEST(SsspDeterminismTest, AllBackendsBitwiseIdenticalAcrossThreadCounts) {
       }
     }
   }
+}
+
+// Random integer edge costs in [0, max_cost]: zero-cost arcs (and zero
+// cycles) re-fill the bucket being drained.
+std::vector<int32_t> CostsWithZeros(const Graph& g, int32_t max_cost,
+                                    Rng* rng) {
+  std::vector<int32_t> costs(static_cast<size_t>(g.num_edges()));
+  for (auto& c : costs) c = static_cast<int32_t>(rng->UniformInt(0, max_cost));
+  return costs;
+}
+
+// Runs `lanes` over `sources` (one entry per lane) and checks every lane
+// against a full DialEngine search from the same sources.
+void ExpectLanesMatchDial(DialLaneEngine* lanes, const Graph& g,
+                          const std::vector<int32_t>& costs,
+                          const std::vector<std::vector<int32_t>>& sources,
+                          const std::string& label) {
+  std::vector<std::span<const int32_t>> lane_sources(sources.begin(),
+                                                     sources.end());
+  lanes->Run(g, costs, lane_sources);
+  DialEngine reference(g.num_nodes(), lanes->max_cost());
+  for (size_t lane = 0; lane < sources.size(); ++lane) {
+    std::vector<SsspSource> seeds;
+    for (int32_t s : sources[lane]) seeds.push_back({s, 0});
+    const auto expected =
+        reference.Run(g, costs, seeds, SsspGoal::AllNodes());
+    for (int32_t v = 0; v < g.num_nodes(); ++v) {
+      ASSERT_EQ(lanes->Distance(static_cast<int>(lane), v),
+                expected[static_cast<size_t>(v)])
+          << label << " lane=" << lane << " v=" << v;
+    }
+  }
+}
+
+std::vector<std::vector<int32_t>> SingleSourceLanes(int32_t num_lanes,
+                                                    int32_t n, Rng* rng) {
+  std::vector<std::vector<int32_t>> sources;
+  for (int32_t l = 0; l < num_lanes; ++l) {
+    sources.push_back({static_cast<int32_t>(rng->UniformInt(0, n - 1))});
+  }
+  return sources;
+}
+
+TEST(DialLaneEngineTest, LanesFitBoundary) {
+  // max_cost * (n - 1) must stay below 2^30.
+  EXPECT_TRUE(DialLaneEngine::LanesFit(1025, (1 << 20) - 1));
+  EXPECT_FALSE(DialLaneEngine::LanesFit(1025, 1 << 20));
+  EXPECT_FALSE(DialLaneEngine::LanesFit(1026, (1 << 20) - 1));
+  EXPECT_TRUE(DialLaneEngine::LanesFit(1, (1 << 30) - 1));
+  EXPECT_FALSE(DialLaneEngine::LanesFit(1, 1 << 30));
+  EXPECT_TRUE(DialLaneEngine::LanesFit(6000, 33));
+}
+
+TEST(DialLaneEngineTest, EveryLaneCountMatchesDialPerLane) {
+  for (const int32_t num_lanes : {1, 7, 8, 15, 16}) {
+    for (int trial = 0; trial < 4; ++trial) {
+      Rng rng(7100 + static_cast<uint64_t>(100 * num_lanes + trial));
+      const int32_t n = 50 + static_cast<int32_t>(rng.UniformInt(0, 250));
+      // Random directed arcs: parts of the graph are unreachable from
+      // some lanes.
+      const Graph g = RandomDirectedGraph(n, 3 * n, &rng);
+      const int32_t max_cost = 1 + static_cast<int32_t>(rng.UniformInt(0, 40));
+      const auto costs = CostsWithZeros(g, max_cost, &rng);
+      DialLaneEngine lanes(n, max_cost);
+      ExpectLanesMatchDial(&lanes, g, costs,
+                           SingleSourceLanes(num_lanes, n, &rng),
+                           "lanes=" + std::to_string(num_lanes) +
+                               " trial=" + std::to_string(trial));
+    }
+  }
+}
+
+TEST(DialLaneEngineTest, MultiSourceLanesMatchDial) {
+  Rng rng(7201);
+  const int32_t n = 400;
+  const Graph g = RandomDirectedGraph(n, 4 * n, &rng);
+  const auto costs = CostsWithZeros(g, 20, &rng);
+  std::vector<std::vector<int32_t>> sources;
+  for (int32_t l = 0; l < DialLaneEngine::kMaxLanes; ++l) {
+    // 1-6 seeds per lane, duplicates and cross-lane overlaps allowed.
+    std::vector<int32_t> seeds;
+    const int32_t count = 1 + static_cast<int32_t>(rng.UniformInt(0, 5));
+    for (int32_t k = 0; k < count; ++k) {
+      seeds.push_back(static_cast<int32_t>(rng.UniformInt(0, 30)));
+    }
+    sources.push_back(seeds);
+  }
+  DialLaneEngine lanes(n, 20);
+  ExpectLanesMatchDial(&lanes, g, costs, sources, "multi-source");
+}
+
+TEST(DialLaneEngineTest, ZeroCostComponentsAndUnreachableNodes) {
+  // 0-1-2-0 is a zero-cost cycle; 3-4 hangs off it at cost 5; 5 and 6
+  // are reachable only from each other; a lane with no sources reaches
+  // nothing.
+  const Graph g = Graph::FromEdges(
+      7, {{0, 1}, {1, 2}, {2, 0}, {2, 3}, {3, 4}, {5, 6}, {6, 5}});
+  const std::vector<int32_t> costs = {0, 0, 0, 5, 0, 1, 1};
+  DialLaneEngine lanes(7, 5);
+  const std::vector<std::vector<int32_t>> sources = {{0}, {3}, {5}, {}, {1, 6}};
+  ExpectLanesMatchDial(&lanes, g, costs, sources, "fixed");
+  EXPECT_EQ(lanes.Distance(0, 2), 0);
+  EXPECT_EQ(lanes.Distance(0, 4), 5);
+  EXPECT_EQ(lanes.Distance(0, 5), kUnreachableDistance);
+  EXPECT_EQ(lanes.Distance(1, 0), kUnreachableDistance);
+  EXPECT_EQ(lanes.Distance(3, 0), kUnreachableDistance);
+  EXPECT_EQ(lanes.Distance(4, 5), 1);
+  EXPECT_EQ(lanes.Distance(4, 4), 5);
+}
+
+TEST(DialLaneEngineTest, OneEngineServesGraphsAndCostBuffersInTurn) {
+  // Forward and reversed graphs share n, as in the SND fast path; every
+  // run must start clean whatever the previous run left behind.
+  Rng rng(7301);
+  const int32_t n = 300;
+  const Graph forward = RandomDirectedGraph(n, 5 * n, &rng);
+  const Graph reversed = forward.Reversed(nullptr);
+  const Graph other = RandomDirectedGraph(n, 2 * n, &rng);
+  DialLaneEngine lanes(n, 33);
+  for (int round = 0; round < 3; ++round) {
+    for (const Graph* g : {&forward, &reversed, &other}) {
+      const auto costs = CostsWithZeros(*g, 33, &rng);
+      const auto num_lanes = static_cast<int32_t>(
+          1 + rng.UniformInt(0, DialLaneEngine::kMaxLanes - 1));
+      ExpectLanesMatchDial(&lanes, *g, costs,
+                           SingleSourceLanes(num_lanes, n, &rng),
+                           "round=" + std::to_string(round));
+    }
+  }
+}
+
+TEST(DialLaneEngineTest, RecordsOneDialRunWithItsNodePops) {
+  const Graph g = Graph::FromEdges(4, {{0, 1}, {1, 2}, {2, 3}});
+  const std::vector<int32_t> costs = {1, 1, 1};
+  DialLaneEngine lanes(4, 1);
+  const std::vector<int32_t> from0 = {0}, from2 = {2};
+  const std::span<const int32_t> sources[] = {from0, from2};
+  obs::RequestTrace trace;
+  {
+    const obs::TraceScope scope(&trace);
+    lanes.Run(g, costs, sources);
+  }
+  EXPECT_EQ(trace.backend_runs[obs::kSsspSlotDial].load(), 1);
+  // Node 2 is popped twice: at 0 for lane 1 and at 2 for lane 0 (beyond
+  // 0 + U), as is node 3; nodes 0 and 1 once each.
+  EXPECT_EQ(trace.sssp_settled.load(), 6);
+  EXPECT_EQ(lanes.Distance(0, 3), 3);
+  EXPECT_EQ(lanes.Distance(1, 3), 1);
 }
 
 }  // namespace

@@ -92,6 +92,33 @@ inline std::pair<NetworkState, NetworkState> SkewedStates(int32_t n,
   return {heavy, light};
 }
 
+// A 600-node graph (symmetric, or thinned one arc at a time to make
+// distances asymmetric) and two random states whose EMD* terms each
+// search from 50-92 origins: enough for 16-lane batched searches, with
+// leftover tails of both >= 8 and < 8 origins.
+struct BatchingCase {
+  Graph graph;
+  NetworkState a;
+  NetworkState b;
+};
+
+inline BatchingCase MakeBatchingCase(bool directed) {
+  constexpr int32_t kN = 600;
+  Rng rng(directed ? 93 : 92);
+  BatchingCase c;
+  c.graph = RandomSymmetricGraph(kN, 3 * kN / 2, &rng);
+  if (directed) {
+    std::vector<Edge> arcs;
+    for (const Edge& e : c.graph.ToEdgeList()) {
+      if (rng.Bernoulli(0.7)) arcs.push_back(e);
+    }
+    c.graph = Graph::FromEdges(kN, std::move(arcs));
+  }
+  c.a = RandomState(kN, 0.2, &rng);
+  c.b = RandomState(kN, 0.3, &rng);
+  return c;
+}
+
 // Dense all-pairs shortest-path matrix with unreachable pairs mapped to
 // `unreachable`.
 inline DenseMatrix AllPairsMatrix(const Graph& g,
