@@ -1,4 +1,5 @@
-// Ablation: EMD* bank-allocation strategies (DESIGN.md Section 2).
+// Ablation: EMD* bank-allocation strategies (BankStrategy in
+// core/snd_options.h).
 //
 // The same planted anomaly-detection task is solved with the three bank
 // strategies. A single global bank is location-blind (EMDalpha behavior),

@@ -24,8 +24,7 @@ snd::DenseMatrix AllPairs(const snd::Graph& g) {
   const std::vector<int32_t> unit(static_cast<size_t>(g.num_edges()), 1);
   snd::DenseMatrix d(g.num_nodes(), g.num_nodes(), 0.0);
   const std::unique_ptr<snd::SsspEngine> engine = snd::MakeSsspEngine(
-      snd::SsspBackend::kAuto, g.num_nodes(), /*max_edge_cost=*/1,
-      /*available_threads=*/1);
+      snd::SsspBackend::kAuto, g.num_nodes(), /*max_edge_cost=*/1);
   for (int32_t u = 0; u < g.num_nodes(); ++u) {
     const snd::SsspSource source{u, 0};
     const std::span<const int64_t> dist =

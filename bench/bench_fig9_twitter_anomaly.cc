@@ -5,7 +5,8 @@
 // distance measure; polarized events (Economic Stimulus Bill, Obama Care)
 // are flagged by SND while coordinate-wise measures stay flat. The real
 // tweets are not redistributable; data::TwitterSim regenerates the
-// dataset's published statistics with planted events (see DESIGN.md).
+// dataset's published statistics with planted events (data/twitter_sim.h
+// lists what it matches).
 #include <cstdio>
 
 #include "bench_common.h"

@@ -7,7 +7,9 @@
 // cost-scaling can run; the optimum is L times the real-valued one.
 #include <benchmark/benchmark.h>
 
-#include "snd/flow/solver.h"
+#include "snd/flow/cost_scaling_solver.h"
+#include "snd/flow/simplex_solver.h"
+#include "snd/flow/ssp_solver.h"
 #include "snd/util/random.h"
 
 namespace {
@@ -27,25 +29,24 @@ snd::TransportProblem MakeInstance(int32_t consumers, uint64_t seed) {
                                std::move(cost));
 }
 
-void RunSolver(benchmark::State& state, snd::TransportAlgorithm algorithm) {
+void RunSolver(benchmark::State& state, const snd::TransportSolver& solver) {
   const auto consumers = static_cast<int32_t>(state.range(0));
   const snd::TransportProblem problem = MakeInstance(consumers, 97);
-  const auto solver = snd::MakeTransportSolver(algorithm);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(solver->Solve(problem).total_cost);
+    benchmark::DoNotOptimize(solver.Solve(problem).total_cost);
   }
   state.SetLabel("banks=" + std::to_string(kBanks) +
                  " consumers=" + std::to_string(consumers));
 }
 
 void BM_Simplex(benchmark::State& state) {
-  RunSolver(state, snd::TransportAlgorithm::kSimplex);
+  RunSolver(state, snd::SimplexSolver());
 }
 void BM_Ssp(benchmark::State& state) {
-  RunSolver(state, snd::TransportAlgorithm::kSsp);
+  RunSolver(state, snd::SspSolver());
 }
 void BM_CostScaling(benchmark::State& state) {
-  RunSolver(state, snd::TransportAlgorithm::kCostScaling);
+  RunSolver(state, snd::CostScalingSolver());
 }
 
 }  // namespace

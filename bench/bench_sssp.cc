@@ -1,26 +1,23 @@
 // SSSP engine comparison on the integer-cost ground-distance graphs of
 // Assumption 2: binary-heap Dijkstra vs Dial's bucket queue (the stand-in
 // for the radix-heap Dijkstra in Theorem 4's complexity bound) vs
-// parallel delta-stepping vs the kAuto resolution, swept over the
-// edge-cost bound U to locate the crossover, plus a threads x U x n
-// delta-stepping sweep, the target-pruned vs full-search speedup that
-// the reduced SND transportation problem exploits, and the multi-lane
-// Dial batch that runs 16 of a term's searches in one bucket sweep.
+// delta-stepping vs the kAuto resolution, swept over the edge-cost bound
+// U to locate the crossover, plus a U x n delta-stepping sweep, the
+// target-pruned vs full-search speedup that the reduced SND
+// transportation problem exploits, and the multi-lane Dial batch that
+// runs 16 of a term's searches in one bucket sweep. Every engine runs
+// one search on one thread, so the pool size does not enter.
 //
 // Emits BENCH_METRIC lines (scraped into the bench-all JSON) that
 // tools/check_perf_budget.py compares against bench/budgets.json:
-//   sssp.ms.n{n}.u{U}.{backend}.t{threads}   mean ms per full search
-//   sssp.speedup.delta.t{t}.n{n}.u{U}        single-thread Dijkstra ms /
-//                                            delta ms at t threads
-//   sssp.speedup.delta.thw.n{n}.u{U}         same, t = hardware threads
-//                                            (machine-independent key)
+//   sssp.ms.n{n}.u{U}.{backend}.t1           mean ms per full search
+//   sssp.speedup.delta.t1.n{n}.u{U}          Dijkstra ms / delta ms
 //   sssp.speedup.dial.n{n}.u{U}              Dijkstra ms / Dial ms
 //   sssp.speedup.pruned.{backend}.k{k}       full ms / pruned ms with k
 //                                            targets
 //   sssp.speedup.lanes16.n{n}.u{U}           16 DialEngine searches ms /
 //                                            one 16-lane DialLaneEngine
 //                                            batch ms, same sources
-#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <vector>
@@ -32,7 +29,6 @@
 #include "snd/util/random.h"
 #include "snd/util/stopwatch.h"
 #include "snd/util/table.h"
-#include "snd/util/thread_pool.h"
 
 namespace {
 
@@ -91,20 +87,18 @@ int main() {
   snd::bench::PrintHeader(
       "SSSP engine comparison - Dijkstra vs Dial vs delta-stepping",
       "Mean ms/search over the edge-cost bound U (Assumption 2), a "
-      "threads x U x n delta-stepping sweep, and the target-pruned "
-      "speedup of the reduced problem's row searches.");
+      "U x n delta-stepping sweep, and the target-pruned speedup of the "
+      "reduced problem's row searches.");
 
   const bool full = snd::bench::FullScale();
   const int32_t n = full ? 50000 : 10000;
   const int32_t searches = full ? 100 : 30;
-  const int32_t hw = snd::ThreadPool::DefaultThreads();
   snd::Rng rng(113);
   snd::Stopwatch total;
   int64_t sink = 0;
   char name[96];
 
-  std::printf("n=%d, searches per cell=%d, hw threads=%d\n\n", n, searches,
-              hw);
+  std::printf("n=%d, searches per cell=%d\n\n", n, searches);
 
   snd::TablePrinter table(
       {"U", "dijkstra ms", "dial ms", "auto backend", "auto ms", "winner"});
@@ -113,8 +107,8 @@ int main() {
     const Instance instance = MakeInstance(n, max_cost, &rng);
     snd::DijkstraEngine dijkstra(n);
     snd::DialEngine dial(n, max_cost);
-    const std::unique_ptr<snd::SsspEngine> auto_engine = snd::MakeSsspEngine(
-        snd::SsspBackend::kAuto, n, max_cost, hw);
+    const std::unique_ptr<snd::SsspEngine> auto_engine =
+        snd::MakeSsspEngine(snd::SsspBackend::kAuto, n, max_cost);
     const double dijkstra_ms = TimeFull(&dijkstra, instance, searches, &sink);
     const double dial_ms = TimeFull(&dial, instance, searches, &sink);
     const double auto_ms = TimeFull(auto_engine.get(), instance, searches,
@@ -140,53 +134,36 @@ int main() {
     std::printf("\ncrossover: none within sweep - Dial wins up to U=4096\n");
   }
 
-  // Delta-stepping sweep: threads x U x n, against the single-thread
-  // Dijkstra baseline. Large U is delta's home turf (outside the Dial
-  // regime); the "thw" alias keys the hardware-thread line so budget
-  // files stay machine-independent.
-  std::printf("\ndelta-stepping sweep (baseline: 1-thread dijkstra)\n");
-  std::vector<int32_t> thread_counts{1, 2, hw};
-  std::sort(thread_counts.begin(), thread_counts.end());
-  thread_counts.erase(
-      std::unique(thread_counts.begin(), thread_counts.end()),
-      thread_counts.end());
+  // Delta-stepping sweep: U x n against Dijkstra. Large U is delta's
+  // home turf (outside the Dial regime).
+  std::printf("\ndelta-stepping sweep (baseline: dijkstra)\n");
   const std::vector<int32_t> sweep_ns =
       full ? std::vector<int32_t>{50000} : std::vector<int32_t>{10000, 30000};
   snd::TablePrinter sweep(
-      {"n", "U", "threads", "dijkstra ms", "delta ms", "delta speedup"});
+      {"n", "U", "dijkstra ms", "delta ms", "delta speedup"});
   for (const int32_t sweep_n : sweep_ns) {
     for (const int32_t max_cost : {64, 4096, 1 << 20}) {
       const Instance instance = MakeInstance(sweep_n, max_cost, &rng);
       snd::DijkstraEngine dijkstra(sweep_n);
+      snd::DeltaSteppingEngine delta(sweep_n, max_cost);
       const double dijkstra_ms =
           TimeFull(&dijkstra, instance, searches, &sink);
+      const double delta_ms = TimeFull(&delta, instance, searches, &sink);
+      const double speedup = delta_ms > 0 ? dijkstra_ms / delta_ms : 0.0;
       std::snprintf(name, sizeof(name), "sssp.ms.n%d.u%d.dijkstra.t1",
                     sweep_n, max_cost);
       snd::bench::PrintMetric(name, dijkstra_ms);
-      for (const int32_t threads : thread_counts) {
-        snd::ThreadPool::SetGlobalThreads(threads);
-        snd::DeltaSteppingEngine delta(sweep_n, max_cost);
-        const double delta_ms = TimeFull(&delta, instance, searches, &sink);
-        const double speedup = delta_ms > 0 ? dijkstra_ms / delta_ms : 0.0;
-        std::snprintf(name, sizeof(name), "sssp.ms.n%d.u%d.delta.t%d",
-                      sweep_n, max_cost, threads);
-        snd::bench::PrintMetric(name, delta_ms);
-        std::snprintf(name, sizeof(name), "sssp.speedup.delta.t%d.n%d.u%d",
-                      threads, sweep_n, max_cost);
-        snd::bench::PrintMetric(name, speedup);
-        if (threads == hw) {
-          std::snprintf(name, sizeof(name),
-                        "sssp.speedup.delta.thw.n%d.u%d", sweep_n, max_cost);
-          snd::bench::PrintMetric(name, speedup);
-        }
-        sweep.AddRow({snd::TablePrinter::Fmt(static_cast<int64_t>(sweep_n)),
-                      snd::TablePrinter::Fmt(static_cast<int64_t>(max_cost)),
-                      snd::TablePrinter::Fmt(static_cast<int64_t>(threads)),
-                      snd::TablePrinter::Fmt(dijkstra_ms, 3),
-                      snd::TablePrinter::Fmt(delta_ms, 3),
-                      snd::TablePrinter::Fmt(speedup, 2)});
-      }
-      snd::ThreadPool::SetGlobalThreads(hw);
+      std::snprintf(name, sizeof(name), "sssp.ms.n%d.u%d.delta.t1", sweep_n,
+                    max_cost);
+      snd::bench::PrintMetric(name, delta_ms);
+      std::snprintf(name, sizeof(name), "sssp.speedup.delta.t1.n%d.u%d",
+                    sweep_n, max_cost);
+      snd::bench::PrintMetric(name, speedup);
+      sweep.AddRow({snd::TablePrinter::Fmt(static_cast<int64_t>(sweep_n)),
+                    snd::TablePrinter::Fmt(static_cast<int64_t>(max_cost)),
+                    snd::TablePrinter::Fmt(dijkstra_ms, 3),
+                    snd::TablePrinter::Fmt(delta_ms, 3),
+                    snd::TablePrinter::Fmt(speedup, 2)});
     }
   }
   sweep.Print();

@@ -30,8 +30,7 @@ snd::DenseMatrix RandomMetric(int32_t n, snd::Rng* rng) {
   }
   snd::DenseMatrix d(n, n, 0.0);
   const std::unique_ptr<snd::SsspEngine> engine = snd::MakeSsspEngine(
-      snd::SsspBackend::kAuto, n, /*max_edge_cost=*/9,
-      /*available_threads=*/1);
+      snd::SsspBackend::kAuto, n, /*max_edge_cost=*/9);
   for (int32_t u = 0; u < n; ++u) {
     const snd::SsspSource source{u, 0};
     const std::span<const int64_t> dist =

@@ -1,7 +1,6 @@
 // Comparing the three opinion-propagation cost models (Section 3, item
 // iii) on the same pair of network states: model-agnostic penalties,
-// Independent Cascade with Competition, and competitive Linear Threshold -
-// and the three transportation solvers on the same model.
+// Independent Cascade with Competition, and competitive Linear Threshold.
 //
 //   ./model_comparison
 #include <cstdio>
@@ -40,27 +39,5 @@ int main() {
                    snd::TablePrinter::Fmt(result.total_seconds, 4)});
   }
   models.Print();
-
-  std::printf("\nSolver agreement on the model-agnostic instance:\n");
-  snd::TablePrinter solvers({"transport solver", "SND", "seconds"});
-  for (snd::TransportAlgorithm algorithm :
-       {snd::TransportAlgorithm::kSimplex, snd::TransportAlgorithm::kSsp,
-        snd::TransportAlgorithm::kCostScaling}) {
-    snd::SndOptions options;
-    options.solver = algorithm;
-    // The cost-scaling solver requires fully integral masses.
-    if (algorithm == snd::TransportAlgorithm::kCostScaling) {
-      options.apportionment = snd::BankApportionment::kLargestRemainder;
-    }
-    const snd::SndCalculator calculator(&graph, options);
-    const snd::SndResult result = calculator.Compute(before, after);
-    solvers.AddRow({snd::TransportAlgorithmName(algorithm),
-                    snd::TablePrinter::Fmt(result.value, 2),
-                    snd::TablePrinter::Fmt(result.total_seconds, 4)});
-  }
-  solvers.Print();
-  std::printf(
-      "\n(simplex and ssp agree exactly; cost-scaling differs slightly "
-      "because\nintegral bank capacities round the proportional ones)\n");
   return 0;
 }

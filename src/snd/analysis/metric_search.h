@@ -11,8 +11,10 @@
 // and entries whose bound exceeds the best distance found so far are
 // skipped without evaluating the (expensive) measure. The distance must
 // be (close to) metric for the pruning to be exact; with SND's default
-// pair-dependent bank capacities the bound is near-exact in practice (see
-// DESIGN.md) and the index optionally re-checks pruned candidates.
+// pair-dependent bank capacities the bound is near-exact in practice
+// (triangle violations are rare, see
+// EmdStarTest.TriangleCounterexampleForPaperCapacities) and the index
+// optionally re-checks pruned candidates.
 #ifndef SND_ANALYSIS_METRIC_SEARCH_H_
 #define SND_ANALYSIS_METRIC_SEARCH_H_
 

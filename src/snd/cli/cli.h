@@ -12,7 +12,6 @@
 // snd/service/options_parse.h — the parser both front ends share; keep
 // this block in lockstep with it):
 //   --model=agnostic|icc|lt           ground-distance model
-//   --solver=simplex|ssp|cost-scaling transportation solver
 //   --banks=per-bin|per-cluster|global  EMD* bank placement
 //   --sssp=auto|dijkstra|dial|delta   shortest-path backend
 //   --threads=N                       worker threads (any N, same values)

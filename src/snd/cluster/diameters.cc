@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <queue>
 
-#include "snd/util/thread_pool.h"
-
 namespace snd {
 
 std::vector<double> ExactClusterDiameters(
@@ -15,8 +13,8 @@ std::vector<double> ExactClusterDiameters(
   std::vector<double> diameters(static_cast<size_t>(num_clusters), 0.0);
   int32_t max_cost = 0;
   for (int32_t c : edge_costs) max_cost = std::max(max_cost, c);
-  const std::unique_ptr<SsspEngine> engine = MakeSsspEngine(
-      backend, g.num_nodes(), max_cost, ThreadPool::GlobalThreads());
+  const std::unique_ptr<SsspEngine> engine =
+      MakeSsspEngine(backend, g.num_nodes(), max_cost);
   std::vector<std::vector<int32_t>> members(
       static_cast<size_t>(num_clusters));
   for (int32_t v = 0; v < g.num_nodes(); ++v) {

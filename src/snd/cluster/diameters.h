@@ -28,7 +28,8 @@ std::vector<double> ExactClusterDiameters(
 // eccentricity of an arbitrary cluster member within the cluster's
 // undirected subgraph (members unreachable within the subgraph fall back
 // to the cluster size as hop bound). Exact upper bound for symmetric
-// graphs; heuristic for directed ones (see DESIGN.md).
+// graphs; heuristic for directed ones, where a directed path between two
+// members can need more hops than the undirected eccentricity counts.
 std::vector<double> ClusterDiameterUpperBounds(
     const Graph& g, const std::vector<int32_t>& cluster_of,
     int32_t num_clusters, int32_t max_edge_cost);

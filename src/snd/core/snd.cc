@@ -241,8 +241,8 @@ std::vector<int32_t> SndCalculator::TermRowSources(const NetworkState& from,
   if (total_p < total_q) {
     // Reverse-SSSP branch: the bank rows read cluster minima over the
     // members of every active bank cluster (mirrors ComputeTermFast).
-    const std::vector<double> bank_caps = ComputeBankCapacities(
-        banks_, p, total_q - total_p, options_.apportionment);
+    const std::vector<double> bank_caps =
+        ComputeBankCapacities(banks_, p, total_q - total_p);
     const int32_t nb = banks_.banks_per_cluster();
     std::vector<int32_t> bank_clusters;
     for (size_t k = 0; k < bank_caps.size(); ++k) {
@@ -295,13 +295,10 @@ SndWorkCounters SndCalculator::work_counters() const {
 SndCalculator::SndCalculator(const Graph* graph, SndOptions options)
     : graph_(graph),
       options_(options),
-      model_(MakeModel(options)),
-      solver_(MakeTransportSolver(options.solver)) {
+      model_(MakeModel(options)) {
   SND_CHECK(graph != nullptr);
-  sssp_backend_ = ResolveSsspBackend(options_.sssp_backend,
-                                     graph_->num_nodes(),
-                                     model_->MaxEdgeCost(),
-                                     ThreadPool::GlobalThreads());
+  sssp_backend_ = ResolveSsspBackend(
+      options_.sssp_backend, graph_->num_nodes(), model_->MaxEdgeCost());
   batch_searches_ =
       sssp_backend_ == SsspBackend::kDial &&
       DialLaneEngine::LanesFit(graph_->num_nodes(), model_->MaxEdgeCost());
@@ -389,7 +386,7 @@ std::unique_ptr<SsspEngine> SndCalculator::MakeEngine() const {
   // forward and the reversed (permuted-forward) cost buffers, so one
   // engine serves every search of the calculator.
   return MakeSsspEngine(sssp_backend_, graph_->num_nodes(),
-                        model_->MaxEdgeCost(), ThreadPool::GlobalThreads());
+                        model_->MaxEdgeCost());
 }
 
 int64_t SndCalculator::DisconnectionCost() const {
@@ -593,12 +590,10 @@ SndTermResult SndCalculator::ComputeTermReference(const TermSpec& spec) const {
                                                   spec.op);
   const std::vector<double> p = spec.from->OpinionIndicator(spec.op);
   const std::vector<double> q = spec.to->OpinionIndicator(spec.op);
-  EmdStarOptions emd_options;
-  emd_options.apportionment = options_.apportionment;
   const obs::ObsSpan transport_span(obs::ObsPhase::kTransport);
   transport_solves_.fetch_add(1, std::memory_order_relaxed);
   obs::TraceCountTransportSolve();
-  result.cost = ComputeEmdStar(p, q, ground, banks_, *solver_, emd_options);
+  result.cost = ComputeEmdStar(p, q, ground, banks_, solver_);
   return result;
 }
 
@@ -635,11 +630,9 @@ SndTermResult SndCalculator::ComputeTermFast(const TermSpec& spec,
   // Lemma 2 cancellation below applies to regular bins only).
   std::vector<double> bank_caps;
   if (p_lighter) {
-    bank_caps = ComputeBankCapacities(banks_, p, total_q - total_p,
-                                      options_.apportionment);
+    bank_caps = ComputeBankCapacities(banks_, p, total_q - total_p);
   } else if (q_lighter) {
-    bank_caps = ComputeBankCapacities(banks_, q, total_p - total_q,
-                                      options_.apportionment);
+    bank_caps = ComputeBankCapacities(banks_, q, total_p - total_q);
   }
   std::vector<int32_t> bank_ids;  // Flat bank indices with positive mass.
   for (size_t k = 0; k < bank_caps.size(); ++k) {
@@ -891,7 +884,7 @@ SndTermResult SndCalculator::ComputeTermFast(const TermSpec& spec,
   const obs::ObsSpan transport_span(obs::ObsPhase::kTransport);
   transport_solves_.fetch_add(1, std::memory_order_relaxed);
   obs::TraceCountTransportSolve();
-  result.cost = solver_->Solve(problem).total_cost;
+  result.cost = solver_.Solve(problem).total_cost;
   return result;
 }
 

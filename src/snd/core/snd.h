@@ -41,7 +41,7 @@
 #include "snd/core/snd_options.h"
 #include "snd/emd/banks.h"
 #include "snd/emd/dense_matrix.h"
-#include "snd/flow/solver.h"
+#include "snd/flow/simplex_solver.h"
 #include "snd/graph/graph.h"
 #include "snd/opinion/distance_types.h"  // StatePairs, BatchDistanceFn.
 #include "snd/opinion/network_state.h"
@@ -318,7 +318,7 @@ class SndCalculator {
   // Whether terms may run their searches through DialLaneEngine: the
   // backend is Dial and int32 lanes hold every distance (LanesFit).
   bool batch_searches_ = false;
-  std::unique_ptr<TransportSolver> solver_;  // Stateless; shared by threads.
+  SimplexSolver solver_;  // Stateless; shared by threads.
   Graph reversed_;
   std::vector<int64_t> reverse_origin_;  // Reversed edge -> original edge.
   BankSpec banks_;

@@ -4,8 +4,6 @@
 
 #include <cstdint>
 
-#include "snd/emd/banks.h"
-#include "snd/flow/solver.h"
 #include "snd/opinion/icc_model.h"
 #include "snd/opinion/lt_model.h"
 #include "snd/opinion/model_agnostic.h"
@@ -58,13 +56,14 @@ struct SndOptions {
   IccParams icc;
   LtParams lt;
 
-  TransportAlgorithm solver = TransportAlgorithm::kSimplex;
+  // Every term's transportation problem goes to the network simplex
+  // (SimplexSolver), so no field here selects a solver.
 
   // Shortest-path backend behind every ground-distance search (CLI:
   // --sssp). kAuto picks Dial's bucket queue when the model's
   // MaxEdgeCost() (Assumption 2's U) is small relative to the graph size,
-  // delta-stepping outside that regime on large graphs with enough pool
-  // threads, binary-heap Dijkstra otherwise (ResolveSsspBackend). With
+  // sequential delta-stepping outside that regime on large graphs,
+  // binary-heap Dijkstra otherwise (ResolveSsspBackend). With
   // Dial, terms with enough origins run their searches 16 at a time
   // through DialLaneEngine. SND values are bitwise identical for every
   // choice.
@@ -75,13 +74,11 @@ struct SndOptions {
   GammaPolicy gamma_policy = GammaPolicy::kStructuralBound;
   double gamma_scale = 1.0;
   double fixed_gamma = 8.0;
-  // Exact proportional capacities preserve the location signal (every
-  // same-opinion user contributes supply in proportion to its mass); the
-  // default simplex and SSP solvers accept the resulting real-valued
-  // masses, balanced and conserved within kMassTolerance (relative) rather
-  // than exactly. Switch to kLargestRemainder for fully integral data
-  // (required by the cost-scaling solver).
-  BankApportionment apportionment = BankApportionment::kProportional;
+  // Bank capacities are always exactly proportional to the cluster masses
+  // (ComputeBankCapacities), which preserves the location signal: every
+  // same-opinion user contributes supply in proportion to its mass. The
+  // resulting masses are real-valued, balanced and conserved within
+  // kMassTolerance (relative) rather than exactly.
 
   // Label-propagation clustering (BankStrategy::kPerCluster).
   uint64_t clustering_seed = 42;

@@ -1,11 +1,8 @@
 #include "snd/emd/banks.h"
 
 #include <algorithm>
-#include <cmath>
 #include <numeric>
 #include <unordered_map>
-
-#include "snd/flow/transport_problem.h"
 
 namespace snd {
 
@@ -60,8 +57,7 @@ BankSpec MakeClusterBanks(const std::vector<int32_t>& labels,
 
 std::vector<double> ComputeBankCapacities(const BankSpec& banks,
                                           const std::vector<double>& histogram,
-                                          double mismatch,
-                                          BankApportionment apportionment) {
+                                          double mismatch) {
   SND_CHECK(mismatch >= 0.0);
   SND_CHECK(static_cast<int32_t>(histogram.size()) == banks.num_bins());
   const int32_t nb = banks.banks_per_cluster();
@@ -91,41 +87,9 @@ std::vector<double> ComputeBankCapacities(const BankSpec& banks,
     total = static_cast<double>(num_banks);
   }
 
-  if (apportionment == BankApportionment::kProportional) {
-    for (int32_t k = 0; k < num_banks; ++k) {
-      capacities[static_cast<size_t>(k)] =
-          mismatch * weights[static_cast<size_t>(k)] / total;
-    }
-    return capacities;
-  }
-
-  // Largest-remainder apportionment of an integral mismatch.
-  const auto units = static_cast<int64_t>(std::llround(mismatch));
-  SND_CHECK(std::abs(mismatch - static_cast<double>(units)) <=
-            kMassTolerance * (1.0 + mismatch));
-  std::vector<std::pair<double, int32_t>> remainders;
-  remainders.reserve(static_cast<size_t>(num_banks));
-  int64_t assigned = 0;
   for (int32_t k = 0; k < num_banks; ++k) {
-    const double exact =
-        static_cast<double>(units) * weights[static_cast<size_t>(k)] / total;
-    const auto floor_units = static_cast<int64_t>(std::floor(exact));
-    capacities[static_cast<size_t>(k)] = static_cast<double>(floor_units);
-    assigned += floor_units;
-    remainders.push_back({exact - static_cast<double>(floor_units), k});
-  }
-  std::sort(remainders.begin(), remainders.end(),
-            [](const auto& a, const auto& b) {
-              // Larger remainder first; index breaks ties deterministically.
-              return a.first != b.first ? a.first > b.first
-                                        : a.second < b.second;
-            });
-  int64_t leftover = units - assigned;
-  SND_CHECK(leftover >= 0 &&
-            leftover <= static_cast<int64_t>(remainders.size()));
-  for (int64_t r = 0; r < leftover; ++r) {
-    capacities[static_cast<size_t>(remainders[static_cast<size_t>(r)].second)] +=
-        1.0;
+    capacities[static_cast<size_t>(k)] =
+        mismatch * weights[static_cast<size_t>(k)] / total;
   }
   return capacities;
 }

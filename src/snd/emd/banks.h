@@ -9,8 +9,8 @@
 // comparison: the lighter histogram's banks receive the mass mismatch,
 // distributed in proportion to the cluster masses. The paper's displayed
 // capacity formula does not sum to the mismatch as stated; we implement the
-// stated *requirements* (proportionality + exact balancing) - see
-// DESIGN.md.
+// stated *requirements* (proportionality + exact balancing), which
+// BankCapacitiesTest.ProportionalSumsToMismatch pins.
 #ifndef SND_EMD_BANKS_H_
 #define SND_EMD_BANKS_H_
 
@@ -59,23 +59,13 @@ BankSpec MakePerBinBanks(int32_t num_bins, double gamma);
 BankSpec MakeClusterBanks(const std::vector<int32_t>& labels,
                           int32_t banks_per_cluster, double gamma);
 
-// How the mass mismatch is split across the lighter histogram's banks.
-enum class BankApportionment {
-  // Exactly proportional to cluster masses (real-valued capacities).
-  kProportional,
-  // Integer capacities via the largest-remainder method; keeps all masses
-  // integral so the cost-scaling solver applies (used by the SND core,
-  // where bin masses are 0/1).
-  kLargestRemainder,
-};
-
-// Computes per-bank capacities summing to `mismatch` (>= 0), proportional
-// to the cluster masses of `histogram` (uniform across each cluster's
-// banks; uniform across all banks when the histogram is empty).
+// Computes per-bank capacities summing to `mismatch` (>= 0), exactly
+// proportional to the cluster masses of `histogram` (uniform across each
+// cluster's banks; uniform across all banks when the histogram is
+// empty). The capacities are real-valued, which the simplex accepts.
 std::vector<double> ComputeBankCapacities(const BankSpec& banks,
                                           const std::vector<double>& histogram,
-                                          double mismatch,
-                                          BankApportionment apportionment);
+                                          double mismatch);
 
 }  // namespace snd
 

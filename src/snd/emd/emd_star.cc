@@ -72,14 +72,10 @@ ExtendedProblem BuildExtendedProblem(const std::vector<double>& p,
   SND_CHECK(target >= std::max(total_p, total_q) -
                           1e-9 * (1.0 + std::max(total_p, total_q)));
   if (target > total_p) {
-    p_banks =
-        ComputeBankCapacities(banks, p, target - total_p,
-                              options.apportionment);
+    p_banks = ComputeBankCapacities(banks, p, target - total_p);
   }
   if (target > total_q) {
-    q_banks =
-        ComputeBankCapacities(banks, q, target - total_q,
-                              options.apportionment);
+    q_banks = ComputeBankCapacities(banks, q, target - total_q);
   }
   ext.p_tilde.insert(ext.p_tilde.end(), p_banks.begin(), p_banks.end());
   ext.q_tilde.insert(ext.q_tilde.end(), q_banks.begin(), q_banks.end());

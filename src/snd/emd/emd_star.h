@@ -11,8 +11,9 @@
 //
 // Bank access distances use the per-source cluster distance
 //   D~(u, bank(c)) = gamma(c) + min_{q in c} D(u, q)
-// (see DESIGN.md: this keeps the Theorem 4 fast path exact while
-// preserving the Theorem 3 metricity argument).
+// because one multi-source search per bank cluster yields exactly these
+// minima, which keeps the Theorem 4 fast path exact (FastVsReferenceTest)
+// while preserving the Theorem 3 metricity argument.
 #ifndef SND_EMD_EMD_STAR_H_
 #define SND_EMD_EMD_STAR_H_
 
@@ -26,14 +27,14 @@
 namespace snd {
 
 struct EmdStarOptions {
-  BankApportionment apportionment = BankApportionment::kProportional;
   // When set, both histograms are extended to this common total mass
   // (capacity M - total(X) spread over X's banks) instead of giving the
   // mismatch to the lighter histogram only. With a common M shared across
   // a whole set of histograms the extension is pair-independent, which
   // makes EMD* provably metric via Theorem 1; the paper's pair-dependent
   // capacities (the default, common_total_mass unset) admit rare triangle
-  // violations - see DESIGN.md and the EmdStarTriangleCounterexample test.
+  // violations, as EmdStarTest.TriangleCounterexampleForPaperCapacities
+  // shows.
   // Requires M >= max(total(P), total(Q)); M == max(...) reproduces the
   // default exactly.
   std::optional<double> common_total_mass;

@@ -1,30 +1,23 @@
-// Solver interface for the transportation problem, with three production
-// implementations that cross-validate each other:
+// Solver interface for the transportation problem. SndCalculator runs
+// SimplexSolver (primal network simplex over a spanning tree) on every
+// term; the other implementations are constructed directly where they
+// are needed:
 //
-//  * kSimplex     - primal network simplex over a spanning tree; the
-//                   default. Fast in practice on the dense instances
-//                   produced by EMD.
-//  * kSsp         - successive shortest paths with potentials (Dijkstra);
-//                   accepts real-valued masses (within kMassTolerance).
-//  * kCostScaling - Goldberg-Tarjan cost-scaling push-relabel, the
-//                   algorithm behind the CS2 code used by the paper;
-//                   requires integral costs and masses.
+//  * SspSolver         - successive shortest paths with potentials;
+//                        the simplex's pivot-cap fallback and an exact
+//                        reference for real-valued masses.
+//  * CostScalingSolver - Goldberg-Tarjan cost-scaling push-relabel (the
+//                        algorithm behind the paper's CS2 code); requires
+//                        integral costs and masses. Test and benchmark
+//                        reference only.
+//  * OracleSolver      - exhaustive search for tiny integral instances;
+//                        test ground truth only.
 #ifndef SND_FLOW_SOLVER_H_
 #define SND_FLOW_SOLVER_H_
-
-#include <memory>
 
 #include "snd/flow/transport_problem.h"
 
 namespace snd {
-
-enum class TransportAlgorithm {
-  kSimplex,
-  kSsp,
-  kCostScaling,
-};
-
-const char* TransportAlgorithmName(TransportAlgorithm algorithm);
 
 class TransportSolver {
  public:
@@ -36,9 +29,6 @@ class TransportSolver {
 
   virtual const char* name() const = 0;
 };
-
-std::unique_ptr<TransportSolver> MakeTransportSolver(
-    TransportAlgorithm algorithm);
 
 }  // namespace snd
 

@@ -52,8 +52,10 @@ class TransportProblem {
   // Largest cost entry; 0 for an empty matrix.
   double MaxCost() const;
 
-  // True when every cost / every mass is integral within kMassTolerance
-  // (the cost-scaling solver requires integral data).
+  // True when every cost / every mass is integral within kMassTolerance.
+  // The cost-scaling and oracle reference solvers require integral data;
+  // SND's proportional bank capacities are real-valued, so its terms go
+  // to the simplex instead.
   bool HasIntegralCosts() const;
   bool HasIntegralMasses() const;
 

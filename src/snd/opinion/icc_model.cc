@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "snd/paths/sssp_engine.h"
-#include "snd/util/thread_pool.h"
 
 namespace snd {
 
@@ -60,8 +59,7 @@ void IccModel::ComputeEdgeCosts(const Graph& g, const NetworkState& state,
     // Edge distances are small integers (1 by default), squarely in the
     // bucket-queue regime; kAuto falls back to Dijkstra on tiny graphs.
     const std::unique_ptr<SsspEngine> engine = MakeSsspEngine(
-        SsspBackend::kAuto, g.num_nodes(), max_edge_distance,
-        ThreadPool::GlobalThreads());
+        SsspBackend::kAuto, g.num_nodes(), max_edge_distance);
     const std::span<const int64_t> dist =
         engine->Run(g, distances, sources, SsspGoal::AllNodes());
     dist_from_active.assign(dist.begin(), dist.end());

@@ -5,8 +5,9 @@
 //
 // With the default unit edge distances, d_v({u}) for an in-neighbor u
 // equals the edge distance, so the frontier test "d_uv == d_v(I)" is
-// exact. For general edge distances it is a documented approximation that
-// avoids one SSSP per edge (see DESIGN.md).
+// exact. For general edge distances it is an approximation: the exact
+// test needs d_v({u}), one SSSP per edge, where the approximation reuses
+// the one multi-source search for d_v(I).
 //
 // The paper's epsilon assigns a negligible probability to transitions the
 // original model forbids, keeping all network states at finite distance.

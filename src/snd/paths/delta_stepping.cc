@@ -9,34 +9,18 @@
 // phase settled, exactly once, at their final distances (a heavy edge
 // from bucket b reaches strictly past bucket b, so phases never reopen).
 //
-// Parallelism: a round whose frontier is large fans the edge scan out
-// over the shared ThreadPool. Lanes only *read* dist_ (stable during the
-// scan) and append (node, candidate) requests to a per-slot buffer; the
-// calling thread then merges all buffers by taking per-node minima.
-// Applying relaxations via min is order-independent, so the merged
-// dist_ array after a round - and hence the final result, the unique
-// shortest-path distances - is bitwise identical to the sequential
-// rounds at any thread count and any dynamic chunk schedule.
-//
-// Inside an enclosing ParallelFor region (the row-parallel SND fan-out)
-// the engine never dispatches: rounds run sequentially on the caller,
-// per the pool's nested-inline rule, so nesting cannot deadlock or
-// oversubscribe.
+// Every round runs on the calling thread. Callers that want parallelism
+// run independent searches on separate engines, as the SND fan-out does.
 #include <algorithm>
 
 #include "snd/obs/trace.h"
 #include "snd/paths/sssp_engine.h"
-#include "snd/util/thread_pool.h"
 
 namespace snd {
 namespace {
 
 // Absolute bucket value marking "not queued in any bucket".
 constexpr int64_t kNotQueued = -1;
-
-// Frontiers below this size relax inline: a pool dispatch (lock, wake,
-// join) costs more than scanning a few hundred nodes' edges.
-constexpr int64_t kParallelFrontierCutoff = 256;
 
 }  // namespace
 
@@ -60,8 +44,8 @@ DeltaSteppingEngine::DeltaSteppingEngine(int32_t num_nodes, int32_t max_cost,
   SND_CHECK(delta >= 0);
 }
 
-void DeltaSteppingEngine::ApplyRequest(int32_t node, int64_t nd, int64_t delta,
-                                       int64_t num_buckets, int64_t* pending) {
+void DeltaSteppingEngine::Relax(int32_t node, int64_t nd, int64_t delta,
+                                int64_t num_buckets, int64_t* pending) {
   const auto v = static_cast<size_t>(node);
   if (nd >= dist_[v]) return;
   dist_[v] = nd;
@@ -80,59 +64,15 @@ void DeltaSteppingEngine::RelaxFrontier(const Graph& g,
                                         bool light, int64_t delta,
                                         int64_t num_buckets,
                                         int64_t* pending) {
-  ThreadPool& pool = ThreadPool::Global();
-  const bool parallel =
-      static_cast<int64_t>(frontier.size()) >= kParallelFrontierCutoff &&
-      pool.num_threads() > 1 && !ThreadPool::InParallelRegion();
-  if (!parallel) {
-    for (const int32_t u : frontier) {
-      const int64_t d = dist_[static_cast<size_t>(u)];
-      const int64_t begin = g.OutEdgeBegin(u), end = g.OutEdgeEnd(u);
-      for (int64_t e = begin; e < end; ++e) {
-        const int64_t c = edge_costs[static_cast<size_t>(e)];
-        SND_DCHECK(0 <= c && c <= max_cost_);
-        if ((c <= delta) != light) continue;
-        const int64_t nd = d + c;
-        if (nd < dist_[static_cast<size_t>(g.EdgeTarget(e))]) {
-          ApplyRequest(g.EdgeTarget(e), nd, delta, num_buckets, pending);
-        }
-      }
+  for (const int32_t u : frontier) {
+    const int64_t d = dist_[static_cast<size_t>(u)];
+    const int64_t begin = g.OutEdgeBegin(u), end = g.OutEdgeEnd(u);
+    for (int64_t e = begin; e < end; ++e) {
+      const int64_t c = edge_costs[static_cast<size_t>(e)];
+      SND_DCHECK(0 <= c && c <= max_cost_);
+      if ((c <= delta) != light) continue;
+      Relax(g.EdgeTarget(e), d + c, delta, num_buckets, pending);
     }
-    return;
-  }
-
-  if (requests_.size() < static_cast<size_t>(pool.num_threads())) {
-    requests_.resize(static_cast<size_t>(pool.num_threads()));
-  }
-  // Scan phase: lanes read the (stable) dist_ snapshot and buffer
-  // candidate relaxations; nothing is written besides the per-slot
-  // buffers, so the scan is race-free.
-  pool.ParallelFor(static_cast<int64_t>(frontier.size()),
-                   [&](int64_t i, int32_t slot) {
-                     const int32_t u = frontier[static_cast<size_t>(i)];
-                     const int64_t d = dist_[static_cast<size_t>(u)];
-                     std::vector<Request>& out =
-                         requests_[static_cast<size_t>(slot)];
-                     const int64_t begin = g.OutEdgeBegin(u);
-                     const int64_t end = g.OutEdgeEnd(u);
-                     for (int64_t e = begin; e < end; ++e) {
-                       const int64_t c = edge_costs[static_cast<size_t>(e)];
-                       SND_DCHECK(0 <= c && c <= max_cost_);
-                       if ((c <= delta) != light) continue;
-                       const int32_t v = g.EdgeTarget(e);
-                       const int64_t nd = d + c;
-                       if (nd < dist_[static_cast<size_t>(v)]) {
-                         out.push_back(Request{v, nd});
-                       }
-                     }
-                   });
-  // Merge phase, calling thread only: per-node min over all buffered
-  // requests. Order-independent, hence deterministic.
-  for (std::vector<Request>& buffer : requests_) {
-    for (const Request& request : buffer) {
-      ApplyRequest(request.node, request.dist, delta, num_buckets, pending);
-    }
-    buffer.clear();  // Keeps capacity for the next round.
   }
 }
 
@@ -172,7 +112,7 @@ std::span<const int64_t> DeltaSteppingEngine::Run(
 
   int64_t pending = 0;
   for (const SsspSource& s : sources) {
-    ApplyRequest(s.node, s.initial_distance, delta, num_buckets, &pending);
+    Relax(s.node, s.initial_distance, delta, num_buckets, &pending);
   }
   if (pruned && targets_.remaining() == 0) return dist_;
 

@@ -161,8 +161,7 @@ std::span<const int64_t> DialEngine::Run(const Graph& g,
 }
 
 SsspBackend ResolveSsspBackend(SsspBackend requested, int32_t num_nodes,
-                               int32_t max_edge_cost,
-                               int32_t available_threads) {
+                               int32_t max_edge_cost) {
   if (requested != SsspBackend::kAuto) return requested;
   // Dial allocates max_edge_cost + 1 buckets and its sweep walks every
   // distance value up to the search radius (<= hops * U), so it pays off
@@ -176,23 +175,18 @@ SsspBackend ResolveSsspBackend(SsspBackend requested, int32_t num_nodes,
   }
   // Outside the Dial regime (large U), delta-stepping's width-Delta
   // buckets replace both the heap's log factor and Dial's per-distance
-  // sweep, and its relaxation rounds parallelize; it needs enough nodes
-  // per bucket round and enough threads to amortize the round overhead.
-  if (num_nodes >= kDeltaAutoMinNodes &&
-      available_threads >= kDeltaAutoMinThreads) {
-    return SsspBackend::kDeltaStepping;
-  }
+  // sweep; it needs enough nodes per bucket round to amortize the round
+  // overhead.
+  if (num_nodes >= kDeltaAutoMinNodes) return SsspBackend::kDeltaStepping;
   return SsspBackend::kDijkstra;
 }
 
 std::unique_ptr<SsspEngine> MakeSsspEngine(SsspBackend backend,
                                            int32_t num_nodes,
-                                           int32_t max_edge_cost,
-                                           int32_t available_threads) {
+                                           int32_t max_edge_cost) {
   SND_CHECK(num_nodes >= 0);
   SND_CHECK(max_edge_cost >= 0);
-  switch (ResolveSsspBackend(backend, num_nodes, max_edge_cost,
-                             available_threads)) {
+  switch (ResolveSsspBackend(backend, num_nodes, max_edge_cost)) {
     case SsspBackend::kDial:
       return std::make_unique<DialEngine>(num_nodes, max_edge_cost);
     case SsspBackend::kDeltaStepping:

@@ -14,10 +14,10 @@
 //  * DeltaSteppingEngine - Meyer & Sanders bucketed delta-stepping:
 //    buckets of width Delta keyed by floor(dist / Delta), light edges
 //    (cost <= Delta) relaxed in per-bucket rounds, heavy edges once per
-//    settled bucket. Rounds with large frontiers fan the relaxation out
-//    over the shared ThreadPool with per-thread request buffers; the
-//    merged result is the unique shortest-path distances, so values are
-//    bitwise identical to Dijkstra/Dial at any thread count.
+//    settled bucket. Rounds run sequentially on the calling thread; the
+//    SND fan-out gets its parallelism from one search per pool lane.
+//    The result is the unique shortest-path distances, bitwise
+//    identical to Dijkstra/Dial.
 //
 // Engines own reusable workspaces: the distance array, heap/buckets and
 // target bitmap are allocated once and recycled across Run calls, so the
@@ -195,10 +195,7 @@ class DialEngine : public SsspEngine {
 // Meyer & Sanders delta-stepping. Buckets of width `delta` keyed by
 // floor(dist / delta); light edges (cost <= delta) are relaxed in
 // repeated per-bucket rounds, heavy edges once when the bucket settles.
-// Large relaxation rounds run on the shared ThreadPool (per-thread
-// request buffers, merged on the calling thread); inside an enclosing
-// ParallelFor region the engine degrades to fully sequential rounds, so
-// the row-parallel SND fan-out never nests pool dispatches.
+// Every round runs on the calling thread.
 class DeltaSteppingEngine : public SsspEngine {
  public:
   // `delta` == 0 picks ChooseSsspDelta(n, m, max_cost) per Run from the
@@ -218,18 +215,12 @@ class DeltaSteppingEngine : public SsspEngine {
   int64_t last_delta() const { return last_delta_; }
 
  private:
-  // A relaxation produced by a light/heavy round, applied during the
-  // deterministic merge on the calling thread.
-  struct Request {
-    int32_t node;
-    int64_t dist;
-  };
-
   void RelaxFrontier(const Graph& g, std::span<const int32_t> edge_costs,
                      const std::vector<int32_t>& frontier, bool light,
                      int64_t delta, int64_t num_buckets, int64_t* pending);
-  void ApplyRequest(int32_t node, int64_t nd, int64_t delta,
-                    int64_t num_buckets, int64_t* pending);
+  // Lowers node's distance to nd if that improves it and (re)queues it.
+  void Relax(int32_t node, int64_t nd, int64_t delta, int64_t num_buckets,
+             int64_t* pending);
 
   int32_t max_cost_;
   int64_t configured_delta_;  // 0 = per-run heuristic.
@@ -243,7 +234,6 @@ class DeltaSteppingEngine : public SsspEngine {
   std::vector<int32_t> settled_;    // R: nodes settled by current bucket.
   std::vector<uint64_t> settled_stamp_;  // == phase_: already in settled_.
   uint64_t phase_ = 0;
-  std::vector<std::vector<Request>> requests_;  // One buffer per pool slot.
   SsspTargetSet targets_;
 };
 
@@ -255,34 +245,30 @@ int64_t ChooseSsspDelta(int32_t num_nodes, int64_t num_edges,
                         int32_t max_edge_cost);
 
 // Resolves kAuto to a concrete backend for a graph of `num_nodes` nodes
-// whose costs are bounded by `max_edge_cost`, given `available_threads`
-// of pool parallelism (ThreadPool::GlobalThreads() for callers without a
-// better bound):
+// whose costs are bounded by `max_edge_cost`:
 //
 //  * Dial when the bound is small relative to n (U <= min(2^16, n/2) -
 //    Assumption 2's regime; its bucket array has max_edge_cost + 1
 //    entries and its sweep walks every distance value up to the radius),
-//  * delta-stepping when the graph and the thread budget are both large
-//    enough for parallel relaxation rounds to pay off (n >=
-//    kDeltaAutoMinNodes and available_threads >= kDeltaAutoMinThreads),
+//  * delta-stepping when n >= kDeltaAutoMinNodes: outside Dial's regime
+//    its width-Delta buckets beat the heap on large graphs even on one
+//    thread (bench_sssp's delta floors),
 //  * Dijkstra otherwise.
 //
-// Concrete requests pass through unchanged. The boundary values are
-// pinned by sssp_engine_test.
+// The thread count plays no part: every engine runs one search on one
+// thread. Concrete requests pass through unchanged. The boundary values
+// are pinned by sssp_engine_test.
 inline constexpr int32_t kDialAutoCostCap = 1 << 16;
 inline constexpr int32_t kDeltaAutoMinNodes = 1 << 14;
-inline constexpr int32_t kDeltaAutoMinThreads = 4;
 SsspBackend ResolveSsspBackend(SsspBackend requested, int32_t num_nodes,
-                               int32_t max_edge_cost,
-                               int32_t available_threads);
+                               int32_t max_edge_cost);
 
 // Builds a reusable engine for searches over graphs of `num_nodes` nodes
 // with costs in [0, max_edge_cost]. kAuto resolves via
-// ResolveSsspBackend against `available_threads`.
+// ResolveSsspBackend.
 std::unique_ptr<SsspEngine> MakeSsspEngine(SsspBackend backend,
                                            int32_t num_nodes,
-                                           int32_t max_edge_cost,
-                                           int32_t available_threads);
+                                           int32_t max_edge_cost);
 
 }  // namespace snd
 

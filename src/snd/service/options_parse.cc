@@ -17,13 +17,13 @@ bool SplitSndFlag(const std::string& arg, const std::string& name,
 
 const char kSndFlagUsage[] =
     "  --model=agnostic|icc|lt\n"
-    "  --solver=simplex|ssp|cost-scaling\n"
     "  --banks=per-bin|per-cluster|global\n"
     "  --sssp=auto|dijkstra|dial|delta\n"
     "                     shortest-path backend (auto picks Dial's bucket\n"
     "                     queue when the model's max edge cost is small\n"
-    "                     relative to n, delta-stepping on large graphs\n"
-    "                     with many threads; results are identical for all)\n"
+    "                     relative to n, else delta-stepping on graphs of\n"
+    "                     16384+ nodes, else Dijkstra; results are\n"
+    "                     identical for all)\n"
     "  --threads=N        worker threads (default: SND_THREADS or all\n"
     "                     cores; results are identical for any N)\n";
 
@@ -56,18 +56,6 @@ StatusOr<ParsedSndFlags> ParseSndFlags(
         parsed.options.model = GroundModelKind::kLinearThreshold;
       } else {
         return Status::InvalidArgument("unknown --model value '" + value +
-                                       "'");
-      }
-    } else if (SplitSndFlag(flag, "solver", &value)) {
-      if (value == "simplex") {
-        parsed.options.solver = TransportAlgorithm::kSimplex;
-      } else if (value == "ssp") {
-        parsed.options.solver = TransportAlgorithm::kSsp;
-      } else if (value == "cost-scaling") {
-        parsed.options.solver = TransportAlgorithm::kCostScaling;
-        parsed.options.apportionment = BankApportionment::kLargestRemainder;
-      } else {
-        return Status::InvalidArgument("unknown --solver value '" + value +
                                        "'");
       }
     } else if (SplitSndFlag(flag, "sssp", &value)) {
@@ -103,14 +91,6 @@ StatusOr<ParsedSndFlags> ParseSndFlags(
 
 std::string SndOptionsSignature(const SndOptions& options) {
   std::string signature = GroundModelKindName(options.model);
-  signature += ',';
-  signature += TransportAlgorithmName(options.solver);
-  // The parser derives apportionment from --solver, but a hand-built
-  // SndOptions can set it independently, and calculators with different
-  // apportionment produce different values — it must key the caches.
-  signature += options.apportionment == BankApportionment::kLargestRemainder
-                   ? "/lr"
-                   : "/prop";
   signature += ',';
   signature += BankStrategyName(options.bank_strategy);
   // Every scalar knob that shapes the banks (and hence the values): a

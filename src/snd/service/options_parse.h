@@ -5,7 +5,6 @@
 //
 // Grammar (every token is of the form --name=value):
 //   --model=agnostic|icc|lt
-//   --solver=simplex|ssp|cost-scaling
 //   --banks=per-bin|per-cluster|global
 //   --sssp=auto|dijkstra|dial|delta
 //   --threads=N
@@ -51,10 +50,10 @@ bool SplitSndFlag(const std::string& arg, const std::string& name,
 StatusOr<ParsedSndFlags> ParseSndFlags(const std::vector<std::string>& flags);
 
 // Canonical signature of the value-affecting SndOptions scalars: model
-// kind, solver + apportionment, bank strategy and every bank-shaping
-// knob (banks_per_cluster, gamma policy/scale/fixed, clustering seed,
-// label-propagation limits), and the SSSP backend. --threads and the
-// parallel_* switches are excluded because they never change values.
+// kind, bank strategy and every bank-shaping knob (banks_per_cluster,
+// gamma policy/scale/fixed, clustering seed, label-propagation limits),
+// and the SSSP backend. --threads and the parallel_* switches are
+// excluded because they never change values.
 // NOT covered: the model parameter *structs* (agnostic/icc/lt hold
 // per-edge vectors that cannot be keyed cheaply) — callers varying
 // those must not share a signature-keyed cache. Within that contract,

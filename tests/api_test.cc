@@ -132,6 +132,8 @@ TEST(TextCodecTest, MalformedRequestsKeepTheLegacyTokenNamingMessages) {
       {"distance g 0 1 --model=bogus", "unknown --model value 'bogus'"},
       {"series g --sssp=slow", "unknown --sssp value 'slow'"},
       {"matrix g --frobnicate=1", "unrecognized flag '--frobnicate=1'"},
+      {"distance g 0 1 --solver=simplex",
+       "unrecognized flag '--solver=simplex'"},
       {"anomalies g --threads=1e3", "invalid --threads value '1e3'"},
       {"evict", "evict: missing arguments"},
       {"evict g extra", "unexpected token 'extra'"},
@@ -263,6 +265,9 @@ TEST(JsonCodecTest, MalformedRequestsNameTheProblem) {
       {R"({"cmd":"distance","name":"g","i":0,"j":1,)"
        R"("flags":["--model=bogus"]})",
        "unknown --model value 'bogus'"},
+      {R"({"cmd":"distance","name":"g","i":0,"j":1,)"
+       R"("flags":["--solver=simplex"]})",
+       "unrecognized flag '--solver=simplex'"},
       {R"({"cmd":"append_state","name":"g","values":[2]})",
        "invalid opinion value '2'"},
       {R"({"cmd":"append_state","name":"g","values":7})",

@@ -1,11 +1,6 @@
 #include "snd/emd/banks.h"
 
-#include <cmath>
-#include <numeric>
-
 #include <gtest/gtest.h>
-
-#include "snd/util/random.h"
 
 namespace snd {
 namespace {
@@ -42,77 +37,33 @@ TEST(BankSpecTest, BankIndexLayout) {
 TEST(BankCapacitiesTest, ProportionalSumsToMismatch) {
   const BankSpec spec = MakeClusterBanks({0, 0, 1, 1}, 1, 1.0);
   const std::vector<double> histogram{3.0, 1.0, 2.0, 0.0};  // Clusters: 4, 2.
-  const auto caps = ComputeBankCapacities(spec, histogram, 3.0,
-                                          BankApportionment::kProportional);
+  const auto caps = ComputeBankCapacities(spec, histogram, 3.0);
   ASSERT_EQ(caps.size(), 2u);
   EXPECT_NEAR(caps[0], 2.0, 1e-12);  // 3 * 4/6.
   EXPECT_NEAR(caps[1], 1.0, 1e-12);  // 3 * 2/6.
 }
 
-TEST(BankCapacitiesTest, LargestRemainderIsIntegralAndExact) {
-  const BankSpec spec = MakeClusterBanks({0, 1, 2}, 1, 1.0);
-  const std::vector<double> histogram{1.0, 1.0, 1.0};
-  const auto caps = ComputeBankCapacities(spec, histogram, 4.0,
-                                          BankApportionment::kLargestRemainder);
-  double total = 0.0;
-  for (double c : caps) {
-    EXPECT_DOUBLE_EQ(c, std::round(c));
-    total += c;
-  }
-  EXPECT_DOUBLE_EQ(total, 4.0);
-}
-
 TEST(BankCapacitiesTest, EmptyHistogramSpreadsUniformly) {
   const BankSpec spec = MakeClusterBanks({0, 0, 1, 1}, 1, 1.0);
   const std::vector<double> histogram{0.0, 0.0, 0.0, 0.0};
-  const auto caps = ComputeBankCapacities(spec, histogram, 2.0,
-                                          BankApportionment::kProportional);
+  const auto caps = ComputeBankCapacities(spec, histogram, 2.0);
   EXPECT_NEAR(caps[0], 1.0, 1e-12);
   EXPECT_NEAR(caps[1], 1.0, 1e-12);
 }
 
 TEST(BankCapacitiesTest, ZeroMismatchZeroCapacities) {
   const BankSpec spec = MakeClusterBanks({0, 1}, 1, 1.0);
-  const auto caps = ComputeBankCapacities(spec, {1.0, 1.0}, 0.0,
-                                          BankApportionment::kProportional);
+  const auto caps = ComputeBankCapacities(spec, {1.0, 1.0}, 0.0);
   for (double c : caps) EXPECT_DOUBLE_EQ(c, 0.0);
 }
 
 TEST(BankCapacitiesTest, MultipleBanksSplitClusterMass) {
   const BankSpec spec = MakeClusterBanks({0, 0}, 2, 1.0);
   const std::vector<double> histogram{4.0, 0.0};
-  const auto caps = ComputeBankCapacities(spec, histogram, 6.0,
-                                          BankApportionment::kProportional);
+  const auto caps = ComputeBankCapacities(spec, histogram, 6.0);
   ASSERT_EQ(caps.size(), 2u);
   EXPECT_NEAR(caps[0], 3.0, 1e-12);
   EXPECT_NEAR(caps[1], 3.0, 1e-12);
-}
-
-TEST(BankCapacitiesTest, LargestRemainderSweep) {
-  Rng rng(5);
-  for (int trial = 0; trial < 30; ++trial) {
-    const int32_t clusters = 1 + static_cast<int32_t>(rng.UniformInt(0, 5));
-    std::vector<int32_t> labels;
-    std::vector<double> histogram;
-    for (int32_t c = 0; c < clusters; ++c) {
-      const int32_t size = 1 + static_cast<int32_t>(rng.UniformInt(0, 3));
-      for (int32_t k = 0; k < size; ++k) {
-        labels.push_back(c);
-        histogram.push_back(static_cast<double>(rng.UniformInt(0, 4)));
-      }
-    }
-    const BankSpec spec = MakeClusterBanks(labels, 1, 1.0);
-    const double mismatch = static_cast<double>(rng.UniformInt(0, 12));
-    const auto caps = ComputeBankCapacities(
-        spec, histogram, mismatch, BankApportionment::kLargestRemainder);
-    double total = 0.0;
-    for (double c : caps) {
-      EXPECT_GE(c, 0.0);
-      EXPECT_DOUBLE_EQ(c, std::round(c));
-      total += c;
-    }
-    EXPECT_DOUBLE_EQ(total, mismatch);
-  }
 }
 
 }  // namespace

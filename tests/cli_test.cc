@@ -57,11 +57,10 @@ TEST_F(CliTest, SeriesAndAnomaliesCommandsSucceed) {
 
 TEST_F(CliTest, FlagsAreAccepted) {
   EXPECT_EQ(SndCliMain({"distance", graph_path_, states_path_, "0", "1",
-                        "--model=icc", "--solver=ssp", "--banks=global"}),
+                        "--model=icc", "--banks=global"}),
             0);
   EXPECT_EQ(SndCliMain({"distance", graph_path_, states_path_, "0", "1",
-                        "--model=lt", "--solver=cost-scaling",
-                        "--banks=per-cluster"}),
+                        "--model=lt", "--banks=per-cluster"}),
             0);
 }
 

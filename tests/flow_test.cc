@@ -1,5 +1,6 @@
+#include <algorithm>
 #include <cmath>
-#include <memory>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -74,12 +75,19 @@ TEST(ValidatePlanTest, AcceptsGoodRejectsBad) {
   EXPECT_FALSE(ValidatePlan(p, wrong_cost, &error));
 }
 
-class AllSolversTest
-    : public ::testing::TestWithParam<TransportAlgorithm> {
+// The production simplex, its SSP fallback and the cost-scaling
+// reference, for the tests that run every solver.
+const SimplexSolver kSimplexSolver{};
+const SspSolver kSspSolver{};
+const CostScalingSolver kCostScalingSolver{};
+const TransportSolver* const kAllSolvers[] = {
+    &kSimplexSolver, &kSspSolver, &kCostScalingSolver};
+
+// Parametrised by index into kAllSolvers so test names never carry a
+// pointer value.
+class AllSolversTest : public ::testing::TestWithParam<size_t> {
  protected:
-  std::unique_ptr<TransportSolver> solver() const {
-    return MakeTransportSolver(GetParam());
-  }
+  const TransportSolver* solver() const { return kAllSolvers[GetParam()]; }
 };
 
 TEST_P(AllSolversTest, SolvesKnownOptimumInstance) {
@@ -137,22 +145,15 @@ TEST_P(AllSolversTest, DegenerateSupplies) {
 
 INSTANTIATE_TEST_SUITE_P(
     Algorithms, AllSolversTest,
-    ::testing::Values(TransportAlgorithm::kSimplex, TransportAlgorithm::kSsp,
-                      TransportAlgorithm::kCostScaling),
-    [](const ::testing::TestParamInfo<TransportAlgorithm>& info) {
-      switch (info.param) {
-        case TransportAlgorithm::kSimplex:
-          return "simplex";
-        case TransportAlgorithm::kSsp:
-          return "ssp";
-        case TransportAlgorithm::kCostScaling:
-          return "cost_scaling";
-      }
-      return "unknown";
+    ::testing::Range<size_t>(0, std::size(kAllSolvers)),
+    [](const ::testing::TestParamInfo<size_t>& info) {
+      std::string name = kAllSolvers[info.param]->name();
+      std::replace(name.begin(), name.end(), '-', '_');
+      return name;
     });
 
 // Cross-validation sweep: on random integral instances all three
-// production solvers agree with the exhaustive oracle.
+// solvers agree with the exhaustive oracle.
 class SolverCrossValidationTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(SolverCrossValidationTest, AgreesWithOracleOnTinyInstances) {
@@ -172,22 +173,19 @@ TEST_P(SolverCrossValidationTest, AgreesWithOracleOnTinyInstances) {
                            std::move(cost));
 
   const double oracle = OracleSolver().Solve(p).total_cost;
-  for (auto algorithm :
-       {TransportAlgorithm::kSimplex, TransportAlgorithm::kSsp,
-        TransportAlgorithm::kCostScaling}) {
-    const TransportPlan plan = MakeTransportSolver(algorithm)->Solve(p);
+  for (const TransportSolver* solver : kAllSolvers) {
+    const TransportPlan plan = solver->Solve(p);
     std::string error;
     EXPECT_TRUE(ValidatePlan(p, plan, &error))
-        << TransportAlgorithmName(algorithm) << ": " << error;
-    EXPECT_NEAR(plan.total_cost, oracle, 1e-9)
-        << TransportAlgorithmName(algorithm);
+        << solver->name() << ": " << error;
+    EXPECT_NEAR(plan.total_cost, oracle, 1e-9) << solver->name();
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Random, SolverCrossValidationTest,
                          ::testing::Range(0, 60));
 
-// Larger randomized instances: the three production solvers agree with
+// Larger randomized instances: the three solvers agree with
 // each other (the oracle would be too slow).
 class SolverAgreementTest : public ::testing::TestWithParam<int> {};
 
@@ -215,13 +213,9 @@ TEST_P(SolverAgreementTest, ProductionSolversAgree) {
   const TransportProblem p(std::move(supply), std::move(demand),
                            std::move(cost));
 
-  const double simplex =
-      MakeTransportSolver(TransportAlgorithm::kSimplex)->Solve(p).total_cost;
-  const double ssp =
-      MakeTransportSolver(TransportAlgorithm::kSsp)->Solve(p).total_cost;
-  const double scaling = MakeTransportSolver(TransportAlgorithm::kCostScaling)
-                             ->Solve(p)
-                             .total_cost;
+  const double simplex = SimplexSolver().Solve(p).total_cost;
+  const double ssp = SspSolver().Solve(p).total_cost;
+  const double scaling = CostScalingSolver().Solve(p).total_cost;
   EXPECT_NEAR(simplex, ssp, 1e-6 * (1.0 + simplex));
   EXPECT_NEAR(simplex, scaling, 1e-6 * (1.0 + simplex));
 }
@@ -255,10 +249,8 @@ TEST_P(RealMassAgreementTest, SimplexMatchesSsp) {
   const TransportProblem p(std::move(supply), std::move(demand),
                            std::move(cost));
 
-  const TransportPlan simplex =
-      MakeTransportSolver(TransportAlgorithm::kSimplex)->Solve(p);
-  const TransportPlan ssp =
-      MakeTransportSolver(TransportAlgorithm::kSsp)->Solve(p);
+  const TransportPlan simplex = SimplexSolver().Solve(p);
+  const TransportPlan ssp = SspSolver().Solve(p);
   std::string error;
   EXPECT_TRUE(ValidatePlan(p, simplex, &error)) << "simplex: " << error;
   EXPECT_TRUE(ValidatePlan(p, ssp, &error)) << "ssp: " << error;

@@ -86,6 +86,8 @@ TEST_F(ServiceTest, MalformedRequestsNameTheOffendingToken) {
       {"distance g 0 1 --model=bogus", "unknown --model value 'bogus'"},
       {"series g --sssp=slow", "unknown --sssp value 'slow'"},
       {"matrix g --frobnicate=1", "unrecognized flag '--frobnicate=1'"},
+      {"distance g 0 1 --solver=simplex",
+       "unrecognized flag '--solver=simplex'"},
       {"anomalies g --threads=0", "invalid --threads value '0'"},
       {"anomalies g --threads=1e3", "invalid --threads value '1e3'"},
       {"evict nope", "unknown graph 'nope'"},

@@ -19,7 +19,6 @@ using testing_util::SkewedStates;
 SndOptions BaseOptions() {
   SndOptions options;
   options.bank_strategy = BankStrategy::kPerCluster;
-  options.apportionment = BankApportionment::kLargestRemainder;
   return options;
 }
 
@@ -168,7 +167,6 @@ TEST(SndCalculatorTest, ReportsTermBreakdown) {
 struct FastVsRefCase {
   GroundModelKind model;
   BankStrategy banks;
-  TransportAlgorithm solver;
 };
 
 class FastVsReferenceTest
@@ -184,7 +182,6 @@ TEST_P(FastVsReferenceTest, FastEqualsReference) {
   SndOptions options = BaseOptions();
   options.model = config.model;
   options.bank_strategy = config.banks;
-  options.solver = config.solver;
   const SndCalculator calc(&g, options);
 
   // Three mass regimes: balanced-ish, P-heavy, Q-heavy.
@@ -195,8 +192,7 @@ TEST_P(FastVsReferenceTest, FastEqualsReference) {
   const SndResult reference = calc.ComputeReference(a, b);
   EXPECT_NEAR(fast.value, reference.value, 1e-6 * (1.0 + fast.value))
       << "model=" << GroundModelKindName(config.model)
-      << " banks=" << BankStrategyName(config.banks)
-      << " solver=" << TransportAlgorithmName(config.solver) << " n=" << n;
+      << " banks=" << BankStrategyName(config.banks) << " n=" << n;
   for (size_t k = 0; k < fast.terms.size(); ++k) {
     EXPECT_NEAR(fast.terms[k].cost, reference.terms[k].cost,
                 1e-6 * (1.0 + fast.terms[k].cost))
@@ -209,26 +205,19 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(
         ::testing::Values(
             FastVsRefCase{GroundModelKind::kModelAgnostic,
-                          BankStrategy::kPerCluster,
-                          TransportAlgorithm::kSimplex},
+                          BankStrategy::kPerCluster},
             FastVsRefCase{GroundModelKind::kModelAgnostic,
-                          BankStrategy::kSingleGlobal,
-                          TransportAlgorithm::kSsp},
+                          BankStrategy::kSingleGlobal},
             FastVsRefCase{GroundModelKind::kModelAgnostic,
-                          BankStrategy::kPerBin,
-                          TransportAlgorithm::kCostScaling},
+                          BankStrategy::kPerBin},
             FastVsRefCase{GroundModelKind::kIndependentCascade,
-                          BankStrategy::kPerCluster,
-                          TransportAlgorithm::kSimplex},
+                          BankStrategy::kPerCluster},
             FastVsRefCase{GroundModelKind::kIndependentCascade,
-                          BankStrategy::kSingleGlobal,
-                          TransportAlgorithm::kCostScaling},
+                          BankStrategy::kSingleGlobal},
             FastVsRefCase{GroundModelKind::kLinearThreshold,
-                          BankStrategy::kPerCluster,
-                          TransportAlgorithm::kSimplex},
+                          BankStrategy::kPerCluster},
             FastVsRefCase{GroundModelKind::kLinearThreshold,
-                          BankStrategy::kPerBin,
-                          TransportAlgorithm::kSsp}),
+                          BankStrategy::kPerBin}),
         ::testing::Range(0, 6)));
 
 // Directed graphs exercise the reverse-SSSP branch with asymmetric ground
@@ -254,38 +243,6 @@ TEST_P(DirectedFastVsReferenceTest, FastEqualsReference) {
 
 INSTANTIATE_TEST_SUITE_P(Random, DirectedFastVsReferenceTest,
                          ::testing::Range(0, 10));
-
-TEST(SndCalculatorTest, SolversAgreeOnFastPath) {
-  Rng rng(6);
-  const Graph g = RandomSymmetricGraph(40, 80, &rng);
-  const NetworkState a = RandomState(40, 0.3, &rng);
-  const NetworkState b = RandomState(40, 0.45, &rng);
-  double values[3];
-  int idx = 0;
-  for (auto solver :
-       {TransportAlgorithm::kSimplex, TransportAlgorithm::kSsp,
-        TransportAlgorithm::kCostScaling}) {
-    SndOptions options = BaseOptions();
-    options.solver = solver;
-    const SndCalculator calc(&g, options);
-    values[idx++] = calc.Distance(a, b);
-  }
-  EXPECT_NEAR(values[0], values[1], 1e-9 * (1.0 + values[0]));
-  EXPECT_NEAR(values[0], values[2], 1e-9 * (1.0 + values[0]));
-}
-
-TEST(SndCalculatorTest, ProportionalApportionmentAlsoMatchesReference) {
-  Rng rng(7);
-  const Graph g = RandomSymmetricGraph(20, 30, &rng);
-  SndOptions options = BaseOptions();
-  options.apportionment = BankApportionment::kProportional;
-  options.solver = TransportAlgorithm::kSsp;  // Handles real masses.
-  const SndCalculator calc(&g, options);
-  const NetworkState a = RandomState(20, 0.2, &rng);
-  const NetworkState b = RandomState(20, 0.5, &rng);
-  EXPECT_NEAR(calc.Compute(a, b).value, calc.ComputeReference(a, b).value,
-              1e-6);
-}
 
 TEST(SndCalculatorTest, GroundDistanceMatrixDiagonalIsZero) {
   Rng rng(8);

@@ -389,8 +389,7 @@ TEST_F(SndParallelTest, AutoBackendResolvesAgainstModelCostBound) {
   const SndCalculator auto_calc(&graph, options);
   EXPECT_EQ(auto_calc.sssp_backend(),
             ResolveSsspBackend(SsspBackend::kAuto, n,
-                               auto_calc.model().MaxEdgeCost(),
-                               ThreadPool::GlobalThreads()));
+                               auto_calc.model().MaxEdgeCost()));
   options.sssp_backend = SsspBackend::kDijkstra;
   const SndCalculator dijkstra_calc(&graph, options);
   EXPECT_EQ(dijkstra_calc.sssp_backend(), SsspBackend::kDijkstra);
@@ -399,14 +398,10 @@ TEST_F(SndParallelTest, AutoBackendResolvesAgainstModelCostBound) {
   EXPECT_EQ(dial_calc.sssp_backend(), SsspBackend::kDial);
 }
 
-TEST_F(SndParallelTest, DeltaSteppingDegradesToSequentialWhenNested) {
-  // Satellite regression: a DeltaSteppingEngine running inside an
-  // enclosing ParallelFor (the row-parallel ComputeTermFast fan-out) must
-  // not dispatch a nested parallel region - the pool's nested-inline rule
-  // makes its rounds sequential - and must still return exact distances.
-  // The graph is big enough that a top-level run would cross the
-  // parallel-frontier cutoff, so this exercises the InParallelRegion
-  // guard rather than the small-frontier fallback.
+TEST_F(SndParallelTest, DeltaSteppingIsExactInPoolLanes) {
+  // DeltaSteppingEngines running concurrently in the lanes of a
+  // ParallelFor, as in the row-parallel ComputeTermFast fan-out, each
+  // return exact distances.
   Rng rng(24);
   const int32_t n = 1500;
   const Graph graph = RandomSymmetricGraph(n, 12 * n, &rng);
@@ -429,7 +424,6 @@ TEST_F(SndParallelTest, DeltaSteppingDegradesToSequentialWhenNested) {
   for (int32_t i = 0; i < 2; ++i) engines.emplace_back(n, 1 << 18);
   std::atomic<int32_t> mismatches{0};
   ThreadPool::Global().ParallelFor(2, [&](int64_t, int32_t slot) {
-    EXPECT_TRUE(ThreadPool::InParallelRegion());
     const auto dist = engines[static_cast<size_t>(slot)].Run(
         graph, costs, std::span<const SsspSource>(&source, 1),
         SsspGoal::AllNodes());

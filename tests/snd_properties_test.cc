@@ -84,30 +84,6 @@ TEST(SndInvariantsTest, NeutralOnlyDifferencesUseBothPolarTerms) {
   EXPECT_DOUBLE_EQ(grow.terms[3].cost, 0.0);
 }
 
-TEST(SndInvariantsTest, ApportionmentModesStayClose) {
-  // Largest-remainder capacities are a rounding of the proportional ones;
-  // the SND values must stay within the total bank-trip cost of one unit
-  // of mass per affected cluster. Empirically they are close; we assert a
-  // generous relative bound.
-  Rng rng(3);
-  for (int trial = 0; trial < 10; ++trial) {
-    const int32_t n = 20 + static_cast<int32_t>(rng.UniformInt(0, 20));
-    const Graph g = RandomSymmetricGraph(n, 2 * n, &rng);
-    SndOptions prop;
-    prop.apportionment = BankApportionment::kProportional;
-    SndOptions integral;
-    integral.apportionment = BankApportionment::kLargestRemainder;
-    const SndCalculator calc_prop(&g, prop);
-    const SndCalculator calc_int(&g, integral);
-    const NetworkState a = RandomState(n, 0.2, &rng);
-    const NetworkState b = RandomState(n, 0.5, &rng);
-    const double dp = calc_prop.Distance(a, b);
-    const double di = calc_int.Distance(a, b);
-    EXPECT_NEAR(dp, di, 0.35 * (1.0 + std::max(dp, di)))
-        << "n=" << n << " trial=" << trial;
-  }
-}
-
 TEST(SndInvariantsTest, CommonTotalMassMatchesDefaultAtMax) {
   // EMD* with common_total_mass == max(total(P), total(Q)) reproduces the
   // default pair-dependent value exactly.

@@ -127,8 +127,8 @@ inline DenseMatrix AllPairsMatrix(const Graph& g,
   DenseMatrix d(g.num_nodes(), g.num_nodes(), 0.0);
   int32_t max_cost = 0;
   for (int32_t c : costs) max_cost = std::max(max_cost, c);
-  const std::unique_ptr<SsspEngine> engine = MakeSsspEngine(
-      SsspBackend::kAuto, g.num_nodes(), max_cost, /*available_threads=*/1);
+  const std::unique_ptr<SsspEngine> engine =
+      MakeSsspEngine(SsspBackend::kAuto, g.num_nodes(), max_cost);
   for (int32_t u = 0; u < g.num_nodes(); ++u) {
     const SsspSource source{u, 0};
     const std::span<const int64_t> dist =
