@@ -115,6 +115,16 @@ TEST_F(CliTest, RejectsBadInput) {
   EXPECT_NE(SndCliMain({"series", graph_path_, "/nonexistent.txt"}), 0);
 }
 
+TEST_F(CliTest, RejectsTheRemovedSolverFlag) {
+  // Every term runs on the network simplex; there is no solver to pick.
+  EXPECT_NE(SndCliMain({"distance", graph_path_, states_path_, "0", "1",
+                        "--solver=simplex"}),
+            0);
+  EXPECT_NE(SndCliMain({"series", graph_path_, states_path_,
+                        "--solver=ssp"}),
+            0);
+}
+
 TEST_F(CliTest, RejectsMismatchedStateSize) {
   const std::string other = ::testing::TempDir() + "/cli_states_small.txt";
   std::vector<NetworkState> tiny{NetworkState(5), NetworkState(5)};

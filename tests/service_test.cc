@@ -8,6 +8,8 @@
 #include "snd/service/service.h"
 
 #include <cstdio>
+#include <functional>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -458,6 +460,48 @@ TEST(ResultCacheTest, PutRefreshesExistingKeys) {
   EXPECT_EQ(cache.size(), 1u);
   EXPECT_EQ(cache.Get("k"), 2.0);
   EXPECT_EQ(cache.stats().hits, 1);
+}
+
+// The calculator and result caches are keyed on SndOptionsSignature, so
+// every knob that can move a value must move the signature, and nothing
+// else may.
+TEST(SndOptionsSignatureTest, EveryValueKnobChangesTheSignature) {
+  const std::vector<std::function<void(SndOptions*)>> edits{
+      [](SndOptions* o) { o->model = GroundModelKind::kIndependentCascade; },
+      [](SndOptions* o) { o->model = GroundModelKind::kLinearThreshold; },
+      [](SndOptions* o) { o->bank_strategy = BankStrategy::kSingleGlobal; },
+      [](SndOptions* o) { o->bank_strategy = BankStrategy::kPerCluster; },
+      [](SndOptions* o) { o->banks_per_cluster = 2; },
+      [](SndOptions* o) { o->gamma_policy = GammaPolicy::kFixed; },
+      [](SndOptions* o) { o->gamma_scale = 1.0 + 1e-15; },
+      [](SndOptions* o) { o->fixed_gamma = 8.5; },
+      [](SndOptions* o) { o->clustering_seed = 43; },
+      [](SndOptions* o) { o->lp_max_iterations = 21; },
+      [](SndOptions* o) { o->lp_min_community_size = 5; },
+      [](SndOptions* o) { o->sssp_backend = SsspBackend::kDijkstra; },
+      [](SndOptions* o) { o->sssp_backend = SsspBackend::kDial; },
+      [](SndOptions* o) { o->sssp_backend = SsspBackend::kDeltaStepping; },
+  };
+  std::set<std::string> seen{SndOptionsSignature(SndOptions{})};
+  for (size_t k = 0; k < edits.size(); ++k) {
+    SndOptions options;
+    edits[k](&options);
+    EXPECT_TRUE(seen.insert(SndOptionsSignature(options)).second)
+        << "edit " << k << " collides: " << SndOptionsSignature(options);
+  }
+}
+
+TEST(SndOptionsSignatureTest, ThreadingKnobsLeaveTheSignatureAlone) {
+  const std::string base = SndOptionsSignature(SndOptions{});
+  SndOptions options;
+  options.parallel_terms = !options.parallel_terms;
+  options.parallel_sssp = !options.parallel_sssp;
+  EXPECT_EQ(SndOptionsSignature(options), base);
+  // --threads is returned beside the options, never inside them.
+  const auto parsed = ParseSndFlags({"--threads=2"});
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed->threads, 2);
+  EXPECT_EQ(SndOptionsSignature(parsed->options), base);
 }
 
 }  // namespace

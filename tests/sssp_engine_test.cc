@@ -279,6 +279,27 @@ class ScopedGlobalThreads {
   int32_t saved_;
 };
 
+// Auto resolution reads only the graph size and U: a one-thread pool
+// gets the same (sequential) delta-stepping engine as a wide one.
+TEST(SsspBackendTest, AutoResolvesTheSameOnEveryPoolSize) {
+  const int32_t hw = ThreadPool::DefaultThreads();
+  const int32_t huge_u = kDialAutoCostCap + 1;
+  for (const int32_t threads : {1, 2, hw}) {
+    const ScopedGlobalThreads scoped(threads);
+    EXPECT_EQ(
+        ResolveSsspBackend(SsspBackend::kAuto, kDeltaAutoMinNodes, huge_u),
+        SsspBackend::kDeltaStepping)
+        << "threads=" << threads;
+    EXPECT_EQ(MakeSsspEngine(SsspBackend::kAuto, kDeltaAutoMinNodes, huge_u)
+                  ->backend(),
+              SsspBackend::kDeltaStepping)
+        << "threads=" << threads;
+    EXPECT_EQ(ResolveSsspBackend(SsspBackend::kAuto, 10000, 65),
+              SsspBackend::kDial)
+        << "threads=" << threads;
+  }
+}
+
 // The cross-backend determinism contract: every backend, at every thread
 // count, both goals, is bitwise identical to sequential Dijkstra.
 TEST(SsspDeterminismTest, AllBackendsBitwiseIdenticalAcrossThreadCounts) {
