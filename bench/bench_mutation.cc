@@ -23,12 +23,15 @@
 #include <cstdlib>
 #include <set>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "bench_common.h"
 #include "snd/graph/generators.h"
 #include "snd/graph/io.h"
+#include "snd/obs/metrics.h"
+#include "snd/obs/names.h"
 #include "snd/opinion/evolution.h"
 #include "snd/opinion/state_io.h"
 #include "snd/service/service.h"
@@ -48,15 +51,18 @@ struct PathCost {
   int64_t edge_cost_patches = 0;
 };
 
-PathCost Delta(const ServiceCounters& before, const ServiceCounters& after,
-               double wall_ms) {
+// The work a path did, read from the service's registry before and
+// after it ran.
+PathCost Delta(const std::vector<obs::MetricRow>& before,
+               const std::vector<obs::MetricRow>& after, double wall_ms) {
+  const auto moved = [&](std::string_view name) {
+    return obs::SnapshotValue(after, name) - obs::SnapshotValue(before, name);
+  };
   PathCost cost;
   cost.wall_ms = wall_ms;
-  cost.sssp_runs = after.work.sssp_runs - before.work.sssp_runs;
-  cost.edge_cost_builds =
-      after.work.edge_cost_builds - before.work.edge_cost_builds;
-  cost.edge_cost_patches =
-      after.work.edge_cost_patches - before.work.edge_cost_patches;
+  cost.sssp_runs = moved(obs::kMetricWorkSsspRuns);
+  cost.edge_cost_builds = moved(obs::kMetricWorkEdgeCostBuilds);
+  cost.edge_cost_patches = moved(obs::kMetricWorkEdgeCostPatches);
   return cost;
 }
 
@@ -103,7 +109,7 @@ void RunRegime(const char* regime, const char* slug, const Graph& graph,
       additions.push_back({u, v});
     }
 
-    const ServiceCounters warm_before = warm.counters();
+    const std::vector<obs::MetricRow> warm_before = warm.metrics().Snapshot();
     Stopwatch incremental_watch;
     for (const auto& [u, v] : additions) {
       MustCall(&warm, "add_edge g " + std::to_string(u) + " " +
@@ -111,7 +117,8 @@ void RunRegime(const char* regime, const char* slug, const Graph& graph,
     }
     const ServiceResponse incremental_series = MustCall(&warm, "series g");
     const PathCost incremental =
-        Delta(warm_before, warm.counters(), incremental_watch.ElapsedMillis());
+        Delta(warm_before, warm.metrics().Snapshot(),
+              incremental_watch.ElapsedMillis());
 
     // Full reload: a cold session over the already-mutated edge list
     // (the pre-refactor answer to any topology change).
@@ -125,13 +132,14 @@ void RunRegime(const char* regime, const char* slug, const Graph& graph,
       }
     }
     SndService cold;
-    const ServiceCounters cold_before = cold.counters();
+    const std::vector<obs::MetricRow> cold_before = cold.metrics().Snapshot();
     Stopwatch reload_watch;
     MustCall(&cold, "load_graph g " + mutated_path);
     MustCall(&cold, "load_states g " + states_path);
     const ServiceResponse reload_series = MustCall(&cold, "series g");
     const PathCost reload =
-        Delta(cold_before, cold.counters(), reload_watch.ElapsedMillis());
+        Delta(cold_before, cold.metrics().Snapshot(),
+              reload_watch.ElapsedMillis());
 
     if (incremental_series.rows != reload_series.rows) {
       std::fprintf(stderr,

@@ -12,12 +12,15 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "bench_common.h"
 #include "snd/graph/generators.h"
 #include "snd/graph/io.h"
 #include "snd/obs/event_log.h"
+#include "snd/obs/metrics.h"
+#include "snd/obs/names.h"
 #include "snd/opinion/evolution.h"
 #include "snd/opinion/state_io.h"
 #include "snd/service/service.h"
@@ -419,15 +422,18 @@ int Run() {
   }
 #endif  // !defined(_WIN32)
 
-  const ServiceCounters counters = service.counters();
+  const std::vector<obs::MetricRow> rows = service.metrics().Snapshot();
+  const auto count = [&rows](std::string_view name) {
+    return static_cast<long long>(obs::SnapshotValue(rows, name));
+  };
   std::printf("counters: result hits %lld misses %lld, calc builds %lld "
               "hits %lld, sssp_runs %lld, transport_solves %lld\n",
-              static_cast<long long>(counters.result_hits),
-              static_cast<long long>(counters.result_misses),
-              static_cast<long long>(counters.calc_builds),
-              static_cast<long long>(counters.calc_hits),
-              static_cast<long long>(counters.work.sssp_runs),
-              static_cast<long long>(counters.work.transport_solves));
+              count(obs::kMetricCacheResultHits),
+              count(obs::kMetricCacheResultMisses),
+              count(obs::kMetricCacheCalcBuilds),
+              count(obs::kMetricCacheCalcHits),
+              count(obs::kMetricWorkSsspRuns),
+              count(obs::kMetricWorkTransportSolves));
 
   bench::PrintMetric("service.speedup.distance.warm",
                      distance_cold / std::max(distance_warm, 1e-6));

@@ -649,13 +649,13 @@ std::string RenderJsonResponse(const Response& response) {
                  ",\"evictions\":" + std::to_string(typed.result_evictions) +
                  '}';
           out += ",\"work\":{\"sssp_runs\":" +
-                 std::to_string(typed.work.sssp_runs) +
+                 std::to_string(typed.sssp_runs) +
                  ",\"transport_solves\":" +
-                 std::to_string(typed.work.transport_solves) +
+                 std::to_string(typed.transport_solves) +
                  ",\"edge_cost_builds\":" +
-                 std::to_string(typed.work.edge_cost_builds) +
+                 std::to_string(typed.edge_cost_builds) +
                  ",\"edge_cost_patches\":" +
-                 std::to_string(typed.work.edge_cost_patches) + '}';
+                 std::to_string(typed.edge_cost_patches) + '}';
           out += ",\"threads\":" + std::to_string(typed.threads);
         } else if constexpr (std::is_same_v<T, StatsResponse>) {
           AppendField(&out, "cmd", "stats");

@@ -15,7 +15,6 @@
 #include <variant>
 #include <vector>
 
-#include "snd/core/snd.h"  // SndWorkCounters.
 #include "snd/obs/metrics.h"  // MetricRow.
 #include "snd/opinion/distance_types.h"  // StatePairs.
 
@@ -94,7 +93,12 @@ struct InfoResponse {
   int64_t result_hits = 0;
   int64_t result_misses = 0;
   int64_t result_evictions = 0;
-  SndWorkCounters work;
+  // Cumulative snd.work.* counters, summed over every calculator the
+  // service ever built.
+  int64_t sssp_runs = 0;
+  int64_t transport_solves = 0;
+  int64_t edge_cost_builds = 0;
+  int64_t edge_cost_patches = 0;
   int32_t threads = 0;
 };
 

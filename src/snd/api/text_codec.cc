@@ -367,13 +367,13 @@ ServiceResponse RenderTextResponse(const Response& response) {
               std::to_string(typed.result_misses) + " evictions " +
               std::to_string(typed.result_evictions));
           rendered.rows.push_back(
-              "work sssp_runs " + std::to_string(typed.work.sssp_runs) +
+              "work sssp_runs " + std::to_string(typed.sssp_runs) +
               " transport_solves " +
-              std::to_string(typed.work.transport_solves) +
+              std::to_string(typed.transport_solves) +
               " edge_cost_builds " +
-              std::to_string(typed.work.edge_cost_builds) +
+              std::to_string(typed.edge_cost_builds) +
               " edge_cost_patches " +
-              std::to_string(typed.work.edge_cost_patches));
+              std::to_string(typed.edge_cost_patches));
           rendered.rows.push_back("threads " +
                                   std::to_string(typed.threads));
           rendered.header =

@@ -1,6 +1,7 @@
 #include "snd/core/snd.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <deque>
 #include <mutex>
@@ -79,7 +80,6 @@ class SndCalculator::EdgeCostCache {
     Entry& entry = EntryFor(state, op);
     std::call_once(entry.costs_once, [&] {
       const obs::ObsSpan span(obs::ObsPhase::kEdgeCost);
-      calc_.edge_cost_builds_.fetch_add(1, std::memory_order_relaxed);
       obs::TraceCountEdgeCostBuild();
       calc_.model_->ComputeEdgeCosts(
           *calc_.graph_, (*states_)[static_cast<size_t>(state)], op,
@@ -190,7 +190,6 @@ SndCalculator::MakeEdgeCostCachePatched(
                                   &costs)) {
         continue;
       }
-      edge_cost_patches_.fetch_add(1, std::memory_order_relaxed);
       obs::TraceCountEdgeCostPatch();
       cache->InstallPatched(state, op, std::move(costs));
       if (patched != nullptr) patched->emplace_back(state, op);
@@ -219,7 +218,6 @@ std::vector<int64_t> SndCalculator::DistancesToNode(
   SND_CHECK(0 <= target && target < graph_->num_nodes());
   const std::vector<int32_t>& rev_costs = cache->RevCosts(state, op);
   const std::unique_ptr<SsspEngine> engine = MakeEngine();
-  sssp_runs_.fetch_add(1, std::memory_order_relaxed);
   obs::TraceCountSsspRun();
   const SsspSource source{target, 0};
   const std::span<const int64_t> dist =
@@ -278,18 +276,6 @@ int32_t SndCalculator::EdgeCostAt(const std::vector<NetworkState>& states,
   const std::vector<int32_t>& costs = cache->Costs(state, op);
   SND_CHECK(0 <= e && e < static_cast<int64_t>(costs.size()));
   return costs[static_cast<size_t>(e)];
-}
-
-SndWorkCounters SndCalculator::work_counters() const {
-  SndWorkCounters counters;
-  counters.sssp_runs = sssp_runs_.load(std::memory_order_relaxed);
-  counters.transport_solves =
-      transport_solves_.load(std::memory_order_relaxed);
-  counters.edge_cost_builds =
-      edge_cost_builds_.load(std::memory_order_relaxed);
-  counters.edge_cost_patches =
-      edge_cost_patches_.load(std::memory_order_relaxed);
-  return counters;
 }
 
 SndCalculator::SndCalculator(const Graph* graph, SndOptions options)
@@ -412,26 +398,14 @@ SndResult SndCalculator::Compute(const NetworkState& a,
   SndResult result;
   result.n_delta = NetworkState::CountDiffering(a, b);
   const auto specs = MakeTermSpecs(a, b);
-  if (options_.parallel_terms) {
-    // The four terms run on the shared pool, so concurrent Compute calls
-    // (e.g. from a pairwise loop) stay within the pool's hard thread cap
-    // instead of spawning unbounded std::async tasks.
-    ThreadPool::Global().ParallelFor(
-        static_cast<int64_t>(specs.size()), [&](int64_t k, int32_t) {
-          result.terms[static_cast<size_t>(k)] =
-              ComputeTermFast(specs[static_cast<size_t>(k)], TermContext{});
-        });
-    for (const SndTermResult& term : result.terms) result.value += term.cost;
-  } else {
-    std::unique_ptr<TermScratch> scratch = TakeScratch();
-    TermContext ctx;
-    ctx.scratch = scratch.get();
-    for (size_t k = 0; k < specs.size(); ++k) {
-      result.terms[k] = ComputeTermFast(specs[k], ctx);
-      result.value += result.terms[k].cost;
-    }
-    ReturnScratch(std::move(scratch));
+  std::unique_ptr<TermScratch> scratch = TakeScratch();
+  TermContext ctx;
+  ctx.scratch = scratch.get();
+  for (size_t k = 0; k < specs.size(); ++k) {
+    result.terms[k] = ComputeTermFast(specs[k], ctx);
+    result.value += result.terms[k].cost;
   }
+  ReturnScratch(std::move(scratch));
   result.value *= 0.5;
   result.total_seconds = watch.ElapsedSeconds();
   return result;
@@ -545,14 +519,12 @@ DenseMatrix SndCalculator::GroundDistanceMatrix(const NetworkState& state,
   std::vector<int32_t> costs;
   {
     const obs::ObsSpan span(obs::ObsPhase::kEdgeCost);
-    edge_cost_builds_.fetch_add(1, std::memory_order_relaxed);
     obs::TraceCountEdgeCostBuild();
     model_->ComputeEdgeCosts(*graph_, state, op, &costs);
   }
   const auto disconnection = static_cast<double>(DisconnectionCost());
   DenseMatrix d(n, n, 0.0);
   auto compute_row = [&](int32_t u, SsspEngine* engine) {
-    sssp_runs_.fetch_add(1, std::memory_order_relaxed);
     obs::TraceCountSsspRun();
     const SsspSource source{u, 0};
     const std::span<const int64_t> dist =
@@ -591,7 +563,6 @@ SndTermResult SndCalculator::ComputeTermReference(const TermSpec& spec) const {
   const std::vector<double> p = spec.from->OpinionIndicator(spec.op);
   const std::vector<double> q = spec.to->OpinionIndicator(spec.op);
   const obs::ObsSpan transport_span(obs::ObsPhase::kTransport);
-  transport_solves_.fetch_add(1, std::memory_order_relaxed);
   obs::TraceCountTransportSolve();
   result.cost = ComputeEmdStar(p, q, ground, banks_, solver_);
   return result;
@@ -611,7 +582,6 @@ SndTermResult SndCalculator::ComputeTermFast(const TermSpec& spec,
     costs_ptr = &ctx.cache->Costs(ctx.distance_state_index, spec.op);
   } else {
     const obs::ObsSpan span(obs::ObsPhase::kEdgeCost);
-    edge_cost_builds_.fetch_add(1, std::memory_order_relaxed);
     obs::TraceCountEdgeCostBuild();
     model_->ComputeEdgeCosts(*graph_, *spec.distance_state, spec.op,
                              &local_costs);
@@ -821,8 +791,6 @@ SndTermResult SndCalculator::ComputeTermFast(const TermSpec& spec,
             graph_->num_nodes(), model_->MaxEdgeCost());
       }
       DialLaneEngine& lanes = *scratch->lanes;
-      sssp_runs_.fetch_add(static_cast<int64_t>(count),
-                           std::memory_order_relaxed);
       obs::TraceCountSsspRun(static_cast<int64_t>(count));
       lanes.Run(search_graph, *search_costs,
                 std::span(lane_sources.data(), count));
@@ -838,7 +806,6 @@ SndTermResult SndCalculator::ComputeTermFast(const TermSpec& spec,
     std::vector<SsspSource>& sources = scratch->sources;
     sources.clear();
     for (int32_t node : origin_sources(o)) sources.push_back({node, 0});
-    sssp_runs_.fetch_add(1, std::memory_order_relaxed);
     obs::TraceCountSsspRun();
     const std::span<const int64_t> dist =
         scratch->engine->Run(search_graph, *search_costs, sources, goal);
@@ -882,7 +849,6 @@ SndTermResult SndCalculator::ComputeTermFast(const TermSpec& spec,
   const TransportProblem problem(std::move(supply), std::move(demand),
                                  std::move(cost));
   const obs::ObsSpan transport_span(obs::ObsPhase::kTransport);
-  transport_solves_.fetch_add(1, std::memory_order_relaxed);
   obs::TraceCountTransportSolve();
   result.cost = solver_.Solve(problem).total_cost;
   return result;

@@ -33,7 +33,6 @@
 #define SND_CORE_SND_H_
 
 #include <array>
-#include <atomic>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -77,38 +76,6 @@ struct SndResult {
   // Number of users whose opinion differs between the two states.
   int32_t n_delta = 0;
   double total_seconds = 0.0;
-};
-
-// Cumulative per-calculator work counters. They let long-lived callers
-// that cache SND results (the service layer's result LRU) *prove* that a
-// warm hit performed no graph work: take a snapshot, repeat the query,
-// and assert the counters did not move. Counters are monotone, updated
-// with relaxed atomics (safe to read concurrently with computation,
-// exact once the computation has returned), and never reset. They count
-// calculator-level work only; SSSPs the ICC model runs internally while
-// costing edges show up as edge_cost_builds, not sssp_runs.
-struct SndWorkCounters {
-  // Single-source shortest-path searches executed (term rows, reference
-  // matrix rows).
-  int64_t sssp_runs = 0;
-  // Transportation problems handed to the flow solver.
-  int64_t transport_solves = 0;
-  // Per-(state, opinion) edge costings (model ComputeEdgeCosts calls).
-  int64_t edge_cost_builds = 0;
-  // Per-(state, opinion) incremental edge costings carried across a graph
-  // mutation (model PatchEdgeCosts calls); O(m) copies instead of full
-  // model evaluations, so they are counted separately from builds.
-  int64_t edge_cost_patches = 0;
-
-  // Aggregation across calculators (the service layer folds retired and
-  // live calculators into one cumulative total).
-  SndWorkCounters& operator+=(const SndWorkCounters& other) {
-    sssp_runs += other.sssp_runs;
-    transport_solves += other.transport_solves;
-    edge_cost_builds += other.edge_cost_builds;
-    edge_cost_patches += other.edge_cost_patches;
-    return *this;
-  }
 };
 
 class SndCalculator {
@@ -232,9 +199,6 @@ class SndCalculator {
   int32_t EdgeCostAt(const std::vector<NetworkState>& states, int32_t state,
                      Opinion op, int64_t e, EdgeCostCache* cache) const;
 
-  // Snapshot of the cumulative work counters (see SndWorkCounters).
-  SndWorkCounters work_counters() const;
-
   // Dense reference computation (O(n) SSSPs + full transportation).
   SndResult ComputeReference(const NetworkState& a,
                              const NetworkState& b) const;
@@ -323,14 +287,6 @@ class SndCalculator {
   std::vector<int64_t> reverse_origin_;  // Reversed edge -> original edge.
   BankSpec banks_;
   std::vector<std::vector<int32_t>> cluster_members_;
-
-  // Cumulative work counters (SndWorkCounters); mutable because Compute
-  // paths are const, relaxed because exact ordering is irrelevant —
-  // callers read them between computations.
-  mutable std::atomic<int64_t> sssp_runs_{0};
-  mutable std::atomic<int64_t> transport_solves_{0};
-  mutable std::atomic<int64_t> edge_cost_builds_{0};
-  mutable std::atomic<int64_t> edge_cost_patches_{0};
 
   mutable Mutex scratch_mu_;
   mutable std::vector<std::unique_ptr<TermScratch>> spare_scratch_

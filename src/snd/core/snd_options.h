@@ -85,12 +85,6 @@ struct SndOptions {
   int32_t lp_max_iterations = 20;
   int32_t lp_min_community_size = 4;
 
-  // Evaluate the four EMD* terms of Eq. 3 concurrently (they are
-  // independent) on the shared ThreadPool. Off by default so
-  // single-threaded timing measurements stay comparable to the paper's;
-  // the value is identical either way.
-  bool parallel_terms = false;
-
   // Fan the independent SSSPs of a term (one per origin on the side it
   // searches from) out on the shared ThreadPool. Results are
   // bitwise identical for any thread count; run with SND_THREADS=1 (or

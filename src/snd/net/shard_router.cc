@@ -332,8 +332,7 @@ void NetServer::OnAccept() {
       continue;
     }
     active_conns_.fetch_add(1, std::memory_order_relaxed);
-    metrics_->conns_active->Set(
-        active_conns_.load(std::memory_order_relaxed));
+    metrics_->conns_active->Add(1);
     Shard* shard =
         shards_[next_accept_shard_.fetch_add(1, std::memory_order_relaxed) %
                 shards_.size()]
@@ -356,8 +355,7 @@ void NetServer::AdoptConn(Shard* shard, int fd) {
       [this, shard, id](uint32_t events) { OnConnEvent(shard, id, events); });
   if (!added.ok()) {
     active_conns_.fetch_sub(1, std::memory_order_relaxed);
-    metrics_->conns_active->Set(
-        active_conns_.load(std::memory_order_relaxed));
+    metrics_->conns_active->Add(-1);
     return;  // ~Conn closes the fd.
   }
   shard->conns.emplace(id, std::move(conn));
@@ -443,7 +441,7 @@ void NetServer::PumpDispatch(Shard* shard, Conn* conn) {
       conn->inflight = true;
       conn->dispatched_at_ns = NowNs();
       inflight_.fetch_add(1, std::memory_order_relaxed);
-      metrics_->inflight->Set(inflight_.load(std::memory_order_relaxed));
+      metrics_->inflight->Add(1);
       // Route by session name: one graph's heavy dispatches land on one
       // shard's crew (lock/cache affinity); nameless requests (info,
       // stats, ...) stay home. The reply is posted back to the OWNING
@@ -497,7 +495,7 @@ void NetServer::OnDispatchDone(Shard* shard, uint64_t conn_id,
                                int64_t dispatched_ns) {
   // Posted to the owning loop by a dispatch worker.
   inflight_.fetch_sub(1, std::memory_order_relaxed);
-  metrics_->inflight->Set(inflight_.load(std::memory_order_relaxed));
+  metrics_->inflight->Add(-1);
   metrics_->frame_latency->Record(NowNs() - dispatched_ns);
   const auto it = shard->conns.find(conn_id);
   if (it == shard->conns.end()) return;  // Closed while computing.
@@ -554,23 +552,8 @@ void NetServer::CloseConn(Shard* shard, uint64_t conn_id) {
   shard->conn_count.store(static_cast<int64_t>(shard->conns.size()),
                           std::memory_order_relaxed);
   active_conns_.fetch_sub(1, std::memory_order_relaxed);
-  metrics_->conns_active->Set(active_conns_.load(std::memory_order_relaxed));
+  metrics_->conns_active->Add(-1);
   metrics_->conns_closed->Add(1);
-}
-
-NetStats NetServer::Snapshot() const {
-  NetStats stats;
-  stats.conns_accepted = metrics_->conns_accepted->Value();
-  stats.conns_active = active_conns_.load(std::memory_order_relaxed);
-  stats.conns_closed = metrics_->conns_closed->Value();
-  stats.conns_shed = metrics_->conns_shed->Value();
-  stats.inflight = inflight_.load(std::memory_order_relaxed);
-  stats.inflight_shed = metrics_->inflight_shed->Value();
-  stats.backpressure_shed = metrics_->backpressure_shed->Value();
-  stats.frames = metrics_->frames->Value();
-  stats.read_bytes = metrics_->read_bytes->Value();
-  stats.write_bytes = metrics_->write_bytes->Value();
-  return stats;
 }
 
 std::vector<ShardStats> NetServer::ShardSnapshot() const {

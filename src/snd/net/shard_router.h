@@ -81,21 +81,9 @@ struct NetServerConfig {
   WireFormat format = WireFormat::kText;
 };
 
-// Aggregate tier counters (mirrored into the service registry as the
-// snd.net.* family); per-shard splits come from ShardSnapshot.
-struct NetStats {
-  int64_t conns_accepted = 0;
-  int64_t conns_active = 0;
-  int64_t conns_closed = 0;
-  int64_t conns_shed = 0;        // Refused at accept (--max-conns).
-  int64_t inflight = 0;
-  int64_t inflight_shed = 0;     // Frames refused (--max-inflight).
-  int64_t backpressure_shed = 0; // Connections shed for slow reading.
-  int64_t frames = 0;
-  int64_t read_bytes = 0;
-  int64_t write_bytes = 0;
-};
-
+// Per-shard split of the tier's load. The aggregate tier counters live
+// only in the service registry (the snd.net.* family): read them from
+// SndService::metrics().Snapshot() or a `stats` request.
 struct ShardStats {
   int64_t conns = 0;    // Currently owned by this shard's loop.
   int64_t frames = 0;   // Frames ingested on this shard.
@@ -122,7 +110,6 @@ class NetServer {
   // connection, joins all tier threads. Idempotent.
   void Shutdown();
 
-  NetStats Snapshot() const;
   std::vector<ShardStats> ShardSnapshot() const;
 
  private:
@@ -151,6 +138,10 @@ class NetServer {
   int port_ = -1;
   std::atomic<uint64_t> next_conn_id_{1};
   std::atomic<uint64_t> next_accept_shard_{0};
+  // Admission state for this server's --max-conns / --max-inflight
+  // bounds. The snd.net.conns_active / snd.net.inflight gauges count
+  // the same moves for `stats`, summed over every server sharing the
+  // service, so they cannot stand in for one server's limit.
   std::atomic<int64_t> active_conns_{0};
   std::atomic<int64_t> inflight_{0};
   std::atomic<bool> shut_down_{false};

@@ -156,5 +156,20 @@ std::vector<MetricRow> MetricsRegistry::Snapshot() const {
   return rows;
 }
 
+int64_t SnapshotValue(const std::vector<MetricRow>& rows,
+                      std::string_view name) {
+  const auto it = std::lower_bound(
+      rows.begin(), rows.end(), name,
+      [](const MetricRow& row, std::string_view key) {
+        return row.name < key;
+      });
+  if (it == rows.end() || it->name != name) {
+    std::fprintf(stderr, "snd::obs: no metric row '%.*s' in the snapshot\n",
+                 static_cast<int>(name.size()), name.data());
+    std::abort();
+  }
+  return it->value;
+}
+
 }  // namespace obs
 }  // namespace snd

@@ -41,10 +41,15 @@ class Counter {
   std::atomic<int64_t> value_{0};
 };
 
-// A last-writer-wins instantaneous value.
+// An instantaneous value: Set publishes a sampled level (last writer
+// wins), Add moves an up/down count (open connections) exactly under
+// concurrent writers.
 class Gauge {
  public:
   void Set(int64_t value) { value_.store(value, std::memory_order_relaxed); }
+  void Add(int64_t delta) {
+    value_.fetch_add(delta, std::memory_order_relaxed);
+  }
   int64_t Value() const { return value_.load(std::memory_order_relaxed); }
 
  private:
@@ -86,6 +91,12 @@ struct MetricRow {
   std::string name;
   int64_t value = 0;
 };
+
+// The value of the row named `name` in a Snapshot() (rows are sorted,
+// so this is a binary search). Aborts when the row is missing: callers
+// name rows through obs/names.h constants.
+int64_t SnapshotValue(const std::vector<MetricRow>& rows,
+                      std::string_view name);
 
 // Name-keyed owner of every metric in one service process. Register*
 // is get-or-create and idempotent; registering the same name as two

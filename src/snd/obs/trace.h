@@ -51,6 +51,11 @@ struct RequestTrace {
 
   // Written from any thread running on behalf of this request.
   std::atomic<int64_t> phase_ns[kNumObsPhases] = {};
+  // Calculator-level work (the snd.work.* rows): searches for term and
+  // reference-matrix rows (a 16-lane batch counts 16), transportation
+  // problems solved, and per-(state, opinion) edge costings built by the
+  // model or patched across a graph mutation. Searches a model runs
+  // while costing edges count as edge-cost builds, not sssp_runs.
   std::atomic<int64_t> sssp_runs{0};
   std::atomic<int64_t> sssp_settled{0};
   std::atomic<int64_t> transport_solves{0};
@@ -115,8 +120,11 @@ class ObsSpan {
   std::chrono::steady_clock::time_point start_;
 };
 
-// Work-counter hooks for the core layer: bump the current trace's
-// delta alongside the calculator's own cumulative counters. No-ops
+// Work-counter hooks for the core layer, the one place calculator work
+// is counted: each bumps the current trace's delta, which the service
+// folds into the registry's snd.work.* counters at request completion.
+// A library caller counts a bare calculator's work the same way, by
+// running it under a TraceScope over its own RequestTrace. No-ops
 // without an installed trace.
 inline void TraceCountSsspRun(int64_t runs = 1) {
   if (RequestTrace* t = CurrentRequestTrace()) {

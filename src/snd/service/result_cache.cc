@@ -2,16 +2,14 @@
 
 #include <algorithm>
 
-namespace snd {
+#include "snd/util/check.h"
 
-ResultCache::ResultCache(size_t capacity)
-    : ResultCache(capacity, CounterSinks()) {}
+namespace snd {
 
 ResultCache::ResultCache(size_t capacity, CounterSinks sinks)
     : capacity_(std::max<size_t>(1, capacity)), sinks_(sinks) {
-  if (sinks_.hits == nullptr) sinks_.hits = &owned_hits_;
-  if (sinks_.misses == nullptr) sinks_.misses = &owned_misses_;
-  if (sinks_.evictions == nullptr) sinks_.evictions = &owned_evictions_;
+  SND_CHECK(sinks_.hits != nullptr && sinks_.misses != nullptr &&
+            sinks_.evictions != nullptr);
 }
 
 std::optional<double> ResultCache::Get(const std::string& key) {
@@ -83,23 +81,6 @@ std::vector<std::string> ResultCache::KeysMatchingPrefix(
     if (entry.first.rfind(prefix, 0) == 0) keys.push_back(entry.first);
   }
   return keys;
-}
-
-size_t ResultCache::CountMatchingPrefix(const std::string& prefix) const {
-  const MutexLock lock(mu_);
-  size_t count = 0;
-  for (const auto& entry : lru_) {
-    if (entry.first.rfind(prefix, 0) == 0) ++count;
-  }
-  return count;
-}
-
-ResultCache::Stats ResultCache::stats() const {
-  Stats stats;
-  stats.hits = sinks_.hits->Value();
-  stats.misses = sinks_.misses->Value();
-  stats.evictions = sinks_.evictions->Value();
-  return stats;
 }
 
 size_t ResultCache::size() const {

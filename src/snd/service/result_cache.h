@@ -36,27 +36,20 @@ namespace snd {
 
 class ResultCache {
  public:
-  struct Stats {
-    int64_t hits = 0;
-    int64_t misses = 0;
-    int64_t evictions = 0;  // Capacity evictions only, not invalidations.
-  };
-
-  // Counter sinks for the cache's hit/miss/eviction accounting. The
-  // service injects registry-backed counters (snd.cache.result.*) so
-  // `info`, `stats`, and the JSONL events all read the one set of
-  // numbers; a cache constructed without sinks owns private counters
-  // with identical semantics.
+  // Counter sinks for the cache's hit/miss/eviction accounting. Every
+  // sink is required: the service passes its registry-backed
+  // snd.cache.result.* counters, so `info`, `stats` and the JSONL events
+  // all read the one set of numbers, and the cache keeps no counts of
+  // its own. Evictions count capacity evictions only, not
+  // invalidations.
   struct CounterSinks {
     obs::Counter* hits = nullptr;
     obs::Counter* misses = nullptr;
     obs::Counter* evictions = nullptr;
   };
 
-  // Capacity in entries, clamped to >= 1. (Two overloads rather than a
-  // defaulted CounterSinks argument: gcc rejects an in-class default of
-  // a nested aggregate before the enclosing class is complete.)
-  explicit ResultCache(size_t capacity);
+  // Capacity in entries, clamped to >= 1. The sinks must outlive the
+  // cache.
   ResultCache(size_t capacity, CounterSinks sinks);
 
   ResultCache(const ResultCache&) = delete;
@@ -82,10 +75,6 @@ class ResultCache {
                        const std::function<bool(const std::string&)>& drop)
       SND_EXCLUDES(mu_);
 
-  // Number of entries whose key starts with `prefix` (diagnostics).
-  size_t CountMatchingPrefix(const std::string& prefix) const
-      SND_EXCLUDES(mu_);
-
   // Every resident key starting with `prefix` (a snapshot; order
   // unspecified). The mutation path lists a signature's keys, decides
   // retention per pair outside the cache lock, then erases the losers
@@ -93,8 +82,6 @@ class ResultCache {
   std::vector<std::string> KeysMatchingPrefix(const std::string& prefix)
       const SND_EXCLUDES(mu_);
 
-  // Snapshot (by value: the counters keep moving concurrently).
-  Stats stats() const SND_EXCLUDES(mu_);
   size_t size() const SND_EXCLUDES(mu_);
   size_t capacity() const { return capacity_; }
 
@@ -102,11 +89,7 @@ class ResultCache {
   using LruList = std::list<std::pair<std::string, double>>;
 
   const size_t capacity_;
-  // Fallback counters when no sinks are injected; unused otherwise.
-  obs::Counter owned_hits_;
-  obs::Counter owned_misses_;
-  obs::Counter owned_evictions_;
-  CounterSinks sinks_;  // Always fully populated after construction.
+  const CounterSinks sinks_;
   mutable Mutex mu_;
   LruList lru_ SND_GUARDED_BY(mu_);  // Front = most recently used.
   std::unordered_map<std::string, LruList::iterator> map_

@@ -798,21 +798,10 @@ StatusOr<Response> SndService::MutateEdgeLocked(const std::string& name,
     }
     {
       const MutexLock lock(calc_mu_);
-      while (calculators_.size() >= config_.max_calculators) {
-        auto victim = calculators_.begin();
-        for (auto candidate = calculators_.begin();
-             candidate != calculators_.end(); ++candidate) {
-          if (candidate->second.last_used < victim->second.last_used) {
-            victim = candidate;
-          }
-        }
-        calculators_.erase(victim);
-      }
-      obs_.calc_builds->Add(1);
-      calculators_.emplace(name + "|g" + std::to_string(graph_epoch) +
-                               "." + std::to_string(new_sub) + "|" +
-                               old_entry->signature,
-                           CalcSlot{new_entry, ++calc_ticks_});
+      InsertCalculatorLocked(name + "|g" + std::to_string(graph_epoch) +
+                                 "." + std::to_string(new_sub) + "|" +
+                                 old_entry->signature,
+                             std::move(new_entry));
     }
   }
 
@@ -859,23 +848,8 @@ std::shared_ptr<SndService::CalcEntry> SndService::GetCalculator(
       it->second.last_used = ++calc_ticks_;
       entry = it->second.entry;
     } else {
-      // Over capacity: retire the least recently used calculator.
-      // In-flight computations on the victim keep it alive through
-      // their shared_ptr; its work is already folded into the registry
-      // per request, so `info` stays exactly cumulative.
-      while (calculators_.size() >= config_.max_calculators) {
-        auto victim = calculators_.begin();
-        for (auto candidate = calculators_.begin();
-             candidate != calculators_.end(); ++candidate) {
-          if (candidate->second.last_used < victim->second.last_used) {
-            victim = candidate;
-          }
-        }
-        calculators_.erase(victim);
-      }
-      obs_.calc_builds->Add(1);
       entry = std::make_shared<CalcEntry>(session.graph, options, signature);
-      calculators_.emplace(key, CalcSlot{entry, ++calc_ticks_});
+      InsertCalculatorLocked(key, entry);
     }
   }
   // Construction happens outside calc_mu_ (building banks and the
@@ -890,6 +864,26 @@ std::shared_ptr<SndService::CalcEntry> SndService::GetCalculator(
     }
   }
   return entry;
+}
+
+void SndService::InsertCalculatorLocked(const std::string& key,
+                                        std::shared_ptr<CalcEntry> entry) {
+  // Over capacity: retire the least recently used calculator. In-flight
+  // computations on the victim keep it alive through their shared_ptr;
+  // its work is already folded into the registry per request, so the
+  // snd.work.* counters stay exactly cumulative.
+  while (calculators_.size() >= config_.max_calculators) {
+    auto victim = calculators_.begin();
+    for (auto candidate = calculators_.begin();
+         candidate != calculators_.end(); ++candidate) {
+      if (candidate->second.last_used < victim->second.last_used) {
+        victim = candidate;
+      }
+    }
+    calculators_.erase(victim);
+  }
+  obs_.calc_builds->Add(1);
+  calculators_.emplace(key, CalcSlot{std::move(entry), ++calc_ticks_});
 }
 
 std::vector<double> SndService::EvaluatePairs(const GraphSession& session,
@@ -1114,20 +1108,27 @@ StatusOr<Response> SndService::InfoCmd() {
     // touch the pool object mid-replacement.
     info.threads = ThreadPool::GlobalThreads();
   }
-  const ServiceCounters counters = this->counters();
   {
     const MutexLock lock(calc_mu_);
     info.calc_size = static_cast<int64_t>(calculators_.size());
   }
+  // Counts come straight from the registry the `stats` request
+  // snapshots: work is folded in at request completion (FinishTrace),
+  // so this is a consistent cut — a finished request's work is all
+  // here, an in-flight one's is not half-counted — and `info` and
+  // `stats` report the same numbers.
   info.calc_capacity = static_cast<int64_t>(config_.max_calculators);
-  info.calc_builds = counters.calc_builds;
-  info.calc_hits = counters.calc_hits;
-  info.result_size = counters.result_size;
+  info.calc_builds = obs_.calc_builds->Value();
+  info.calc_hits = obs_.calc_hits->Value();
+  info.result_size = static_cast<int64_t>(results_.size());
   info.result_capacity = static_cast<int64_t>(results_.capacity());
-  info.result_hits = counters.result_hits;
-  info.result_misses = counters.result_misses;
-  info.result_evictions = counters.result_evictions;
-  info.work = counters.work;
+  info.result_hits = obs_.result_hits->Value();
+  info.result_misses = obs_.result_misses->Value();
+  info.result_evictions = obs_.result_evictions->Value();
+  info.sssp_runs = obs_.work_sssp_runs->Value();
+  info.transport_solves = obs_.work_transport_solves->Value();
+  info.edge_cost_builds = obs_.work_edge_cost_builds->Value();
+  info.edge_cost_patches = obs_.work_edge_cost_patches->Value();
   return Response(std::move(info));
 }
 
@@ -1330,26 +1331,6 @@ void SndService::PurgeGraphArtifacts(const std::string& name) {
   results_.EraseMatchingPrefix(prefix);
 }
 
-ServiceCounters SndService::counters() const {
-  // Everything reads the obs registry: work counters are folded in at
-  // request completion (FinishTrace), so this snapshot is a consistent
-  // cut — a finished request's work is all here, an in-flight one's is
-  // not half-counted, and `info` and `stats` report the same numbers.
-  ServiceCounters counters;
-  const ResultCache::Stats result_stats = results_.stats();
-  counters.result_hits = result_stats.hits;
-  counters.result_misses = result_stats.misses;
-  counters.result_evictions = result_stats.evictions;
-  counters.result_size = static_cast<int64_t>(results_.size());
-  counters.calc_builds = obs_.calc_builds->Value();
-  counters.calc_hits = obs_.calc_hits->Value();
-  counters.work.sssp_runs = obs_.work_sssp_runs->Value();
-  counters.work.transport_solves = obs_.work_transport_solves->Value();
-  counters.work.edge_cost_builds = obs_.work_edge_cost_builds->Value();
-  counters.work.edge_cost_patches = obs_.work_edge_cost_patches->Value();
-  return counters;
-}
-
 StatusOr<Response> SndService::StatsCmd() {
   // Gauges are sampled at snapshot time (counters fold continuously).
   {
@@ -1453,11 +1434,6 @@ SndService::WireReply SndService::CallWire(const std::string& line,
   reply.close =
       response.ok() && std::holds_alternative<ByeResponse>(*response);
   return reply;
-}
-
-void SndService::WriteResponse(const ServiceResponse& response,
-                               std::ostream& out) {
-  WriteTextResponse(response, out);
 }
 
 void SndService::ServeSubscribe(const SubscribeRequest& request,

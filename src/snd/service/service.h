@@ -42,9 +42,9 @@
 // signature) LRU-bounded; one EdgeCostCache per calculator and states
 // epoch; a bounded LRU of SND values keyed on (graph epoch, states
 // epoch, options signature, canonical state pair). SND is symmetric, so
-// pairs are cached in (lower, higher) orientation. The work counters
-// exposed through `info` prove warm requests do zero SSSP/transport
-// work.
+// pairs are cached in (lower, higher) orientation. The registry's
+// snd.work.* counters (reported by both `info` and `stats`) prove warm
+// requests do zero SSSP/transport work.
 //
 // `info` output is deterministic and its ordering is contract: sessions
 // sorted by name (one row each), then the calculators row, the results
@@ -111,19 +111,6 @@ struct SndServiceConfig {
   obs::EventLog* event_log = nullptr;
 };
 
-// Snapshot of the service's cache effectiveness, also printed by `info`.
-struct ServiceCounters {
-  int64_t result_hits = 0;
-  int64_t result_misses = 0;
-  int64_t result_evictions = 0;
-  int64_t result_size = 0;
-  int64_t calc_builds = 0;
-  int64_t calc_hits = 0;
-  // Aggregate over all calculators this service ever built (live ones
-  // plus those retired by eviction or reload).
-  SndWorkCounters work;
-};
-
 class SndService {
  public:
   explicit SndService(SndServiceConfig config = SndServiceConfig());
@@ -171,11 +158,6 @@ class SndService {
   };
   WireReply CallWire(const std::string& line, WireFormat format);
 
-  // Serializes a response in the text wire format (legacy name, kept
-  // for in-process callers; identical to WriteTextResponse).
-  static void WriteResponse(const ServiceResponse& response,
-                            std::ostream& out);
-
   // One streamed adjacent-SND value: SND(state t, state t+1) by global
   // transition index t, stamped with the epochs it was computed under
   // (graph_sub_epoch moves on add_edge/remove_edge, so a consumer can
@@ -213,8 +195,6 @@ class SndService {
       const SubscribeRequest& request,
       const std::function<void(int64_t from)>& on_start,
       const std::function<bool(const SubscribeEvent&)>& on_event);
-
-  ServiceCounters counters() const;
 
   // The process-wide metrics registry backing `stats`; exposed so
   // embedding callers (snd_serve's --stats-interval loop, tests) can
@@ -374,6 +354,13 @@ class SndService {
                                            const std::string& signature)
       SND_REQUIRES_SHARED(session_mu_);
 
+  // Counts one calculator build and files `entry` under `key` with a
+  // fresh LRU tick, first retiring least-recently-used slots until the
+  // table has room. Shared by GetCalculator and the mutation rebuild.
+  void InsertCalculatorLocked(const std::string& key,
+                              std::shared_ptr<CalcEntry> entry)
+      SND_REQUIRES(calc_mu_);
+
   // SND values for `pairs` over the session's states: cached values are
   // served from the result LRU, the rest go through one BatchDistances
   // call sharing the entry's edge-cost cache, then populate the LRU.
@@ -407,8 +394,8 @@ class SndService {
                                       int32_t v, bool add)
       SND_REQUIRES(session_mu_);
 
-  // Drops every calculator and cached result of `name` (reload/evict),
-  // folding retired calculators' work counters into retired_work_.
+  // Drops every calculator and cached result of `name` (reload/evict).
+  // Their work is already folded into the registry per request.
   void PurgeGraphArtifacts(const std::string& name)
       SND_REQUIRES(session_mu_);
 

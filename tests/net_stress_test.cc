@@ -30,11 +30,14 @@ TEST(NetStressTest, RequiresLinux) {
 #include <memory>
 #include <mutex>
 #include <sstream>
+#include <string_view>
 #include <thread>
 
 #include "snd/graph/generators.h"
 #include "snd/graph/io.h"
 #include "snd/net/shard_router.h"
+#include "snd/obs/metrics.h"
+#include "snd/obs/names.h"
 #include "snd/opinion/evolution.h"
 #include "snd/opinion/state_io.h"
 #include "snd/service/service.h"
@@ -45,7 +48,6 @@ namespace {
 
 using net::NetServer;
 using net::NetServerConfig;
-using net::NetStats;
 using testing_util::SmokeTempPath;
 
 // Scripted client: connect, send everything, half-close, read to EOF.
@@ -175,11 +177,16 @@ std::vector<std::string> SplitLines(const std::string& bytes) {
   return lines;
 }
 
-bool WaitForActiveConns(const NetServer& server, int64_t want) {
+// One snd.net.* row of the registry the tier reports into.
+int64_t NetCount(const SndService& service, std::string_view name) {
+  return obs::SnapshotValue(service.metrics().Snapshot(), name);
+}
+
+bool WaitForActiveConns(const SndService& service, int64_t want) {
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
   while (std::chrono::steady_clock::now() < deadline) {
-    if (server.Snapshot().conns_active == want) return true;
+    if (NetCount(service, obs::kMetricNetConnsActive) == want) return true;
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
   return false;
@@ -303,22 +310,23 @@ TEST_F(NetStressTest, BitwiseIdenticalAcross32ConcurrentClients) {
   for (std::thread& client : clients) client.join();
   failures.Report();
 
-  const NetStats stats = (*server)->Snapshot();
-  EXPECT_GE(stats.conns_accepted, kClients);
-  EXPECT_EQ(stats.conns_shed, 0);
-  EXPECT_EQ(stats.inflight_shed, 0);
-  EXPECT_EQ(stats.backpressure_shed, 0);
-  EXPECT_GE(stats.frames,
-            static_cast<int64_t>(kClients * ClientLines(0).size()));
+  const std::vector<obs::MetricRow> rows = service.metrics().Snapshot();
+  const int64_t frames = obs::SnapshotValue(rows, obs::kMetricNetFrames);
+  EXPECT_GE(obs::SnapshotValue(rows, obs::kMetricNetConnsAccepted),
+            kClients);
+  EXPECT_EQ(obs::SnapshotValue(rows, obs::kMetricNetConnsShed), 0);
+  EXPECT_EQ(obs::SnapshotValue(rows, obs::kMetricNetInflightShed), 0);
+  EXPECT_EQ(obs::SnapshotValue(rows, obs::kMetricNetBackpressureShed), 0);
+  EXPECT_GE(frames, static_cast<int64_t>(kClients * ClientLines(0).size()));
   // Both shard loops must actually carry connections (round-robin
   // accept), not just exist.
   int64_t shard_conn_total = 0;
   for (const net::ShardStats& shard : (*server)->ShardSnapshot()) {
     shard_conn_total += shard.frames;
   }
-  EXPECT_GE(shard_conn_total, stats.frames);
+  EXPECT_GE(shard_conn_total, frames);
   (*server)->Shutdown();
-  EXPECT_EQ((*server)->Snapshot().conns_active, 0);
+  EXPECT_EQ(NetCount(service, obs::kMetricNetConnsActive), 0);
 }
 
 TEST_F(NetStressTest, InterleavedLoadsDistanceAndStatsStayWellFormed) {
@@ -437,19 +445,19 @@ TEST_F(NetStressTest, ShedsPastMaxConnsWithTypedErrorThenRecovers) {
     held.push_back(std::make_unique<HeldConn>(port));
     ASSERT_TRUE(held.back()->ok()) << "held conn " << k;
   }
-  ASSERT_TRUE(WaitForActiveConns(**server, 3));
+  ASSERT_TRUE(WaitForActiveConns(service, 3));
 
   // The 4th connection gets exactly the typed line, then EOF — never a
   // silent close, never a hang.
   std::string response, error;
   ASSERT_TRUE(ScriptedClient::Run(port, "", &response, &error)) << error;
   EXPECT_EQ(response, "error connection limit reached (--max-conns=3)\n");
-  EXPECT_EQ((*server)->Snapshot().conns_shed, 1);
+  EXPECT_EQ(NetCount(service, obs::kMetricNetConnsShed), 1);
 
   // Releasing a slot restores service; the shed was per-connection, not
   // a poisoned listener.
   held.front()->Close();
-  ASSERT_TRUE(WaitForActiveConns(**server, 2));
+  ASSERT_TRUE(WaitForActiveConns(service, 2));
   const std::string want =
       service.CallWire("distance ring-0 0 1", WireFormat::kText).bytes +
       service.CallWire("quit", WireFormat::kText).bytes;
@@ -525,8 +533,8 @@ TEST_F(NetStressTest, MaxInflightShedIsTypedAndPerFrame) {
   failures.Report();
   // Saturation must not starve the tier outright: some work completes.
   EXPECT_GT(ok_count.load(), 0);
-  const NetStats stats = (*server)->Snapshot();
-  EXPECT_EQ(stats.frames, kHammerClients * (kRequests + 1));
+  EXPECT_EQ(NetCount(service, obs::kMetricNetFrames),
+            kHammerClients * (kRequests + 1));
   (*server)->Shutdown();
 }
 
@@ -544,7 +552,7 @@ TEST_F(NetStressTest, OversizeRequestLineShedsWithTypedError) {
                                   &response, &error))
       << error;
   EXPECT_EQ(response, "error request line exceeds 64 bytes\n");
-  EXPECT_EQ((*server)->Snapshot().backpressure_shed, 1);
+  EXPECT_EQ(NetCount(service, obs::kMetricNetBackpressureShed), 1);
   (*server)->Shutdown();
 }
 
@@ -567,7 +575,7 @@ TEST_F(NetStressTest, SlowReaderBacklogShedsWithTypedError) {
       << error;
   EXPECT_EQ(response,
             "error write buffer overflow (--max-write-buf=16 bytes)\n");
-  EXPECT_EQ((*server)->Snapshot().backpressure_shed, 1);
+  EXPECT_EQ(NetCount(service, obs::kMetricNetBackpressureShed), 1);
   (*server)->Shutdown();
 }
 

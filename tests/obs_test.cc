@@ -14,6 +14,7 @@
 #include "snd/obs/metrics.h"
 #include "snd/obs/names.h"
 #include "snd/obs/trace.h"
+#include "snd/util/thread_pool.h"
 
 namespace snd {
 namespace obs {
@@ -104,6 +105,35 @@ TEST(MetricsRegistryTest, SnapshotIsSortedAndFlattensHistograms) {
   EXPECT_EQ(rows[0].value, 2);
   EXPECT_EQ(rows[1].value, 2);    // .count
   EXPECT_EQ(rows[5].value, 300);  // .sum_ns
+}
+
+// Gauge::Add keeps an up/down count exact under concurrent writers,
+// where Set(load) from each writer could publish a stale level.
+TEST(MetricsRegistryTest, GaugeAddMovesAnUpDownCountExactly) {
+  MetricsRegistry registry;
+  Gauge* open = registry.RegisterGauge("snd.test.open");
+  open->Add(3);
+  open->Add(-1);
+  EXPECT_EQ(open->Value(), 2);
+  ThreadPool pool(4);
+  pool.ParallelFor(4000, [open](int64_t k, int32_t) {
+    open->Add(k % 2 == 0 ? 2 : -2);
+  });
+  EXPECT_EQ(open->Value(), 2);
+  open->Set(9);  // Set still publishes a sampled level.
+  EXPECT_EQ(open->Value(), 9);
+}
+
+TEST(MetricsRegistryTest, SnapshotValueReadsRowsByName) {
+  MetricsRegistry registry;
+  registry.RegisterCounter("snd.test.b")->Add(4);
+  registry.RegisterGauge("snd.test.a")->Set(-5);
+  registry.RegisterHistogram("snd.test.c")->Record(10);
+  const std::vector<MetricRow> rows = registry.Snapshot();
+  EXPECT_EQ(SnapshotValue(rows, "snd.test.a"), -5);
+  EXPECT_EQ(SnapshotValue(rows, "snd.test.b"), 4);
+  EXPECT_EQ(SnapshotValue(rows, "snd.test.c.count"), 1);
+  EXPECT_EQ(SnapshotValue(rows, "snd.test.c.sum_ns"), 10);
 }
 
 TEST(MetricsRegistryTest, IsMetricNameRequiresLowercaseDottedIdentifiers) {

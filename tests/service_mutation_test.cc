@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -22,6 +23,8 @@
 #include "snd/core/snd.h"
 #include "snd/graph/graph.h"
 #include "snd/graph/io.h"
+#include "snd/obs/metrics.h"
+#include "snd/obs/names.h"
 #include "snd/opinion/network_state.h"
 #include "snd/opinion/state_io.h"
 #include "snd/util/thread_pool.h"
@@ -247,7 +250,7 @@ TEST_F(ServiceMutationTest, TargetedInvalidationBeatsFullReloadWarm10k) {
   const ServiceResponse cold_answer = warm.Call("distance g 0 1");
   ASSERT_TRUE(cold_answer.ok) << cold_answer.header;
 
-  const ServiceCounters before = warm.counters();
+  const std::vector<obs::MetricRow> before = warm.metrics().Snapshot();
   const ServiceResponse mutated = warm.Call("add_edge g 9990 9992");
   ASSERT_TRUE(mutated.ok) << mutated.header;
   // The warm query's cached result survives the mutation: its term
@@ -255,7 +258,7 @@ TEST_F(ServiceMutationTest, TargetedInvalidationBeatsFullReloadWarm10k) {
   EXPECT_GE(HeaderField(mutated.header, "retained"), 1) << mutated.header;
   const ServiceResponse warm_answer = warm.Call("distance g 0 1");
   ASSERT_TRUE(warm_answer.ok);
-  const ServiceCounters after = warm.counters();
+  const std::vector<obs::MetricRow> after = warm.metrics().Snapshot();
 
   // Full-reload baseline: a cold service answering the same query over
   // the already-mutated graph.
@@ -269,29 +272,34 @@ TEST_F(ServiceMutationTest, TargetedInvalidationBeatsFullReloadWarm10k) {
   }
   ASSERT_TRUE(cold.Call("load_graph g " + mutated_path).ok);
   ASSERT_TRUE(cold.Call("load_states g " + big_states_path).ok);
-  const ServiceCounters cold_before = cold.counters();
+  const std::vector<obs::MetricRow> cold_before = cold.metrics().Snapshot();
   const ServiceResponse cold_mutated_answer = cold.Call("distance g 0 1");
   ASSERT_TRUE(cold_mutated_answer.ok);
-  const ServiceCounters cold_after = cold.counters();
+  const std::vector<obs::MetricRow> cold_after = cold.metrics().Snapshot();
 
   // Bitwise identity: warm incremental == cold rebuild == pre-mutation
   // (the added edge is unreachable from every active user).
   EXPECT_EQ(warm_answer.header, cold_mutated_answer.header);
   EXPECT_EQ(warm_answer.header, cold_answer.header);
 
-  const int64_t warm_sssp = after.work.sssp_runs - before.work.sssp_runs;
+  const auto moved = [](const std::vector<obs::MetricRow>& from,
+                        const std::vector<obs::MetricRow>& to,
+                        std::string_view name) {
+    return obs::SnapshotValue(to, name) - obs::SnapshotValue(from, name);
+  };
+  const int64_t warm_sssp = moved(before, after, obs::kMetricWorkSsspRuns);
   const int64_t warm_builds =
-      after.work.edge_cost_builds - before.work.edge_cost_builds;
+      moved(before, after, obs::kMetricWorkEdgeCostBuilds);
   const int64_t cold_sssp =
-      cold_after.work.sssp_runs - cold_before.work.sssp_runs;
+      moved(cold_before, cold_after, obs::kMetricWorkSsspRuns);
   const int64_t cold_builds =
-      cold_after.work.edge_cost_builds - cold_before.work.edge_cost_builds;
+      moved(cold_before, cold_after, obs::kMetricWorkEdgeCostBuilds);
   EXPECT_LT(warm_sssp, cold_sssp)
       << "warm " << warm_sssp << " vs cold " << cold_sssp;
   EXPECT_LT(warm_builds, cold_builds)
       << "warm " << warm_builds << " vs cold " << cold_builds;
   // The carried-over costings are patches, not full model evaluations.
-  EXPECT_GT(after.work.edge_cost_patches, before.work.edge_cost_patches);
+  EXPECT_GT(moved(before, after, obs::kMetricWorkEdgeCostPatches), 0);
 
   std::remove(big_graph.c_str());
   std::remove(big_states_path.c_str());

@@ -2,14 +2,17 @@
 // real ServeStream path with an EventLog attached must emit exactly one
 // schema-conformant JSONL event per request, the `stats` snapshot must
 // equal the sum of the per-request deltas emitted before it (the
-// consistent-cut contract), and the snapshot's row names — the Stats
-// wire surface on both codecs — are pinned so additions are deliberate.
+// consistent-cut contract), the snapshot's row names — the Stats wire
+// surface on both codecs — are pinned so additions are deliberate, and
+// `info` reports the same counts as `stats`.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <map>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -293,6 +296,106 @@ TEST_F(ServiceObsTest, StatsWireRenderingIsStableOnBothCodecs) {
   EXPECT_NE(json.find("\"snd.req.load_graph\":1"), std::string::npos);
   EXPECT_NE(json.find("\"snd.req.stats\":1"), std::string::npos);
   EXPECT_EQ(json.back(), '}');
+}
+
+// The integer members of the flat JSON object `"key":{...}` in `line`.
+std::map<std::string, int64_t> JsonObjectInts(const std::string& line,
+                                              const std::string& key) {
+  std::map<std::string, int64_t> values;
+  const std::string token = "\"" + key + "\":{";
+  const size_t open = line.find(token);
+  EXPECT_NE(open, std::string::npos) << key << " missing in " << line;
+  if (open == std::string::npos) return values;
+  const size_t close = line.find('}', open);
+  std::istringstream members(
+      line.substr(open + token.size(), close - open - token.size()));
+  std::string member;
+  while (std::getline(members, member, ',')) {
+    const size_t colon = member.find("\":");
+    values[member.substr(1, colon - 1)] =
+        std::strtoll(member.c_str() + colon + 2, nullptr, 10);
+  }
+  return values;
+}
+
+// The `<field> <value>` pairs after the leading label of a text row.
+std::map<std::string, int64_t> TextRowInts(const std::string& row) {
+  std::map<std::string, int64_t> values;
+  std::istringstream tokens(row);
+  std::string label, field;
+  int64_t value = 0;
+  tokens >> label;
+  while (tokens >> field >> value) values[field] = value;
+  return values;
+}
+
+// `info` reads the registry instruments `stats` snapshots, so its
+// calculators, results and work rows must equal the matching stats rows
+// on both codecs, after a session that moves every one of them.
+TEST_F(ServiceObsTest, InfoAgreesWithStatsOnBothCodecs) {
+  SndServiceConfig config;
+  config.result_cache_capacity = 2;
+  SndService service(config);
+  for (const std::string& line :
+       {"load_graph g " + graph_path_, "load_states g " + states_path_,
+        std::string("distance g 0 1"), std::string("distance g 0 1"),
+        std::string("distance g 0 2"), std::string("distance g 0 3"),
+        std::string("add_edge g 0 8"), std::string("distance g 0 3")}) {
+    const ServiceResponse response = service.Call(line);
+    ASSERT_TRUE(response.ok) << line << ": " << response.header;
+  }
+  // Info object -> stats row prefix.
+  const std::vector<std::pair<std::string, std::string>> kGroups = {
+      {"calculators", "snd.cache.calc."},
+      {"results", "snd.cache.result."},
+      {"work", "snd.work."}};
+
+  const ServiceResponse text_info = service.Call("info");
+  const ServiceResponse text_stats = service.Call("stats");
+  ASSERT_TRUE(text_info.ok && text_stats.ok);
+  std::map<std::string, int64_t> stats_rows;
+  for (const std::string& row : text_stats.rows) {
+    const size_t space = row.find(' ');
+    stats_rows[row.substr(0, space)] =
+        std::strtoll(row.c_str() + space + 1, nullptr, 10);
+  }
+  int compared = 0;
+  for (const std::string& row : text_info.rows) {
+    for (const auto& [label, prefix] : kGroups) {
+      if (row.rfind(label + " ", 0) != 0) continue;
+      for (const auto& [field, value] : TextRowInts(row)) {
+        ASSERT_EQ(stats_rows.count(prefix + field), 1u) << prefix + field;
+        EXPECT_EQ(value, stats_rows[prefix + field]) << prefix + field;
+        ++compared;
+      }
+    }
+  }
+  EXPECT_EQ(compared, 4 + 5 + 4);
+  // The session moved every kind of count the rows carry.
+  for (const char* name :
+       {obs::kMetricCacheCalcBuilds, obs::kMetricCacheCalcHits,
+        obs::kMetricCacheResultHits, obs::kMetricCacheResultMisses,
+        obs::kMetricCacheResultEvictions, obs::kMetricWorkSsspRuns,
+        obs::kMetricWorkTransportSolves, obs::kMetricWorkEdgeCostBuilds,
+        obs::kMetricWorkEdgeCostPatches}) {
+    EXPECT_GT(stats_rows[name], 0) << name;
+  }
+
+  const std::string json_info =
+      service.CallWire("{\"cmd\":\"info\"}", WireFormat::kJson).bytes;
+  const std::string json_stats =
+      service.CallWire("{\"cmd\":\"stats\"}", WireFormat::kJson).bytes;
+  const std::map<std::string, int64_t> metrics =
+      JsonObjectInts(json_stats, "metrics");
+  compared = 0;
+  for (const auto& [label, prefix] : kGroups) {
+    for (const auto& [field, value] : JsonObjectInts(json_info, label)) {
+      ASSERT_EQ(metrics.count(prefix + field), 1u) << prefix + field;
+      EXPECT_EQ(value, metrics.at(prefix + field)) << prefix + field;
+      ++compared;
+    }
+  }
+  EXPECT_EQ(compared, 4 + 5 + 4);
 }
 
 // Request-kind counters and the invalid slot: a line that fails to

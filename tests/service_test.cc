@@ -1,7 +1,7 @@
 // In-process tests of the serving subsystem (snd/service/service.h):
 // protocol error paths (malformed requests name the offending token),
 // cache semantics (warm repeats and overlapping queries do zero
-// SSSP/transport work, proven by SndCalculator::work_counters), epoch
+// SSSP/transport work, proven by the registry's snd.work.* rows), epoch
 // invalidation on reload, append-only series retention, LRU bounds, and
 // bitwise identity of service answers with direct SndCalculator calls
 // across SSSP backends and thread counts.
@@ -12,6 +12,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -20,6 +21,8 @@
 #include "snd/core/snd.h"
 #include "snd/graph/generators.h"
 #include "snd/graph/io.h"
+#include "snd/obs/metrics.h"
+#include "snd/obs/names.h"
 #include "snd/opinion/evolution.h"
 #include "snd/opinion/state_io.h"
 #include "snd/service/options_parse.h"
@@ -32,6 +35,21 @@ namespace {
 
 std::string TestTempPath(const std::string& suffix) {
   return testing_util::SmokeTempPath("service", suffix);
+}
+
+// The service's counters as `stats` reports them: registry snapshots,
+// read row by row.
+using obs::SnapshotValue;
+using Rows = std::vector<obs::MetricRow>;
+int64_t Moved(const Rows& before, const Rows& after, std::string_view name) {
+  return SnapshotValue(after, name) - SnapshotValue(before, name);
+}
+
+// Resident result-cache entries, as the `info` request reports them.
+int64_t ResultSize(SndService* service) {
+  const StatusOr<Response> info = service->Dispatch(Request(InfoRequest{}));
+  EXPECT_TRUE(info.ok());
+  return info.ok() ? std::get<InfoResponse>(*info).result_size : -1;
 }
 
 // A small fixture session: ring graph, short synthetic series, both
@@ -138,27 +156,27 @@ TEST_F(ServiceTest, WarmRepeatDoesZeroSsspOrTransportWork) {
   LoadFixture(&service);
   const ServiceResponse cold = service.Call("distance g 0 1");
   ASSERT_TRUE(cold.ok) << cold.header;
-  const ServiceCounters after_cold = service.counters();
-  EXPECT_EQ(after_cold.result_misses, 1);
-  EXPECT_GT(after_cold.work.sssp_runs, 0);
-  EXPECT_GT(after_cold.work.transport_solves, 0);
+  const Rows after_cold = service.metrics().Snapshot();
+  EXPECT_EQ(SnapshotValue(after_cold, obs::kMetricCacheResultMisses), 1);
+  EXPECT_GT(SnapshotValue(after_cold, obs::kMetricWorkSsspRuns), 0);
+  EXPECT_GT(SnapshotValue(after_cold, obs::kMetricWorkTransportSolves), 0);
 
   const ServiceResponse warm = service.Call("distance g 0 1");
   ASSERT_TRUE(warm.ok);
   ASSERT_EQ(warm.values.size(), 1u);
   EXPECT_EQ(warm.values[0], cold.values[0]);
-  const ServiceCounters after_warm = service.counters();
-  EXPECT_EQ(after_warm.result_hits, after_cold.result_hits + 1);
-  EXPECT_EQ(after_warm.result_misses, after_cold.result_misses);
+  const Rows after_warm = service.metrics().Snapshot();
+  EXPECT_EQ(Moved(after_cold, after_warm, obs::kMetricCacheResultHits), 1);
+  EXPECT_EQ(Moved(after_cold, after_warm, obs::kMetricCacheResultMisses), 0);
   // The proof: not one SSSP, transport solve, or edge costing happened.
-  EXPECT_EQ(after_warm.work.sssp_runs, after_cold.work.sssp_runs);
-  EXPECT_EQ(after_warm.work.transport_solves,
-            after_cold.work.transport_solves);
-  EXPECT_EQ(after_warm.work.edge_cost_builds,
-            after_cold.work.edge_cost_builds);
+  EXPECT_EQ(Moved(after_cold, after_warm, obs::kMetricWorkSsspRuns), 0);
+  EXPECT_EQ(
+      Moved(after_cold, after_warm, obs::kMetricWorkTransportSolves), 0);
+  EXPECT_EQ(Moved(after_cold, after_warm, obs::kMetricWorkEdgeCostBuilds),
+            0);
   // One calculator served both requests.
-  EXPECT_EQ(after_warm.calc_builds, 1);
-  EXPECT_EQ(after_warm.calc_hits, 1);
+  EXPECT_EQ(SnapshotValue(after_warm, obs::kMetricCacheCalcBuilds), 1);
+  EXPECT_EQ(SnapshotValue(after_warm, obs::kMetricCacheCalcHits), 1);
 }
 
 TEST_F(ServiceTest, SeriesIsServedEntirelyFromAnEarlierMatrix) {
@@ -166,22 +184,22 @@ TEST_F(ServiceTest, SeriesIsServedEntirelyFromAnEarlierMatrix) {
   LoadFixture(&service);
   const ServiceResponse matrix = service.Call("matrix g");
   ASSERT_TRUE(matrix.ok) << matrix.header;
-  const ServiceCounters after_matrix = service.counters();
+  const Rows after_matrix = service.metrics().Snapshot();
 
   const ServiceResponse series = service.Call("series g");
   ASSERT_TRUE(series.ok) << series.header;
-  const ServiceCounters after_series = service.counters();
+  const Rows after_series = service.metrics().Snapshot();
   // Adjacent pairs are a subset of the matrix's unordered pairs: all
   // hits, zero new misses, zero new work of any kind.
-  EXPECT_EQ(after_series.result_misses, after_matrix.result_misses);
-  EXPECT_EQ(after_series.result_hits,
-            after_matrix.result_hits +
-                static_cast<int64_t>(states_.size()) - 1);
-  EXPECT_EQ(after_series.work.sssp_runs, after_matrix.work.sssp_runs);
-  EXPECT_EQ(after_series.work.transport_solves,
-            after_matrix.work.transport_solves);
-  EXPECT_EQ(after_series.work.edge_cost_builds,
-            after_matrix.work.edge_cost_builds);
+  const auto moved = [&](std::string_view name) {
+    return Moved(after_matrix, after_series, name);
+  };
+  EXPECT_EQ(moved(obs::kMetricCacheResultMisses), 0);
+  EXPECT_EQ(moved(obs::kMetricCacheResultHits),
+            static_cast<int64_t>(states_.size()) - 1);
+  EXPECT_EQ(moved(obs::kMetricWorkSsspRuns), 0);
+  EXPECT_EQ(moved(obs::kMetricWorkTransportSolves), 0);
+  EXPECT_EQ(moved(obs::kMetricWorkEdgeCostBuilds), 0);
   // And the values agree with the matrix diagonal band.
   const auto n = static_cast<size_t>(states_.size());
   for (size_t t = 0; t + 1 < n; ++t) {
@@ -194,17 +212,17 @@ TEST_F(ServiceTest, ReversedDistanceQueriesShareCacheEntries) {
   LoadFixture(&service);
   const ServiceResponse forward = service.Call("distance g 1 3");
   ASSERT_TRUE(forward.ok) << forward.header;
-  const ServiceCounters before = service.counters();
+  const Rows before = service.metrics().Snapshot();
   // SND is symmetric and pairs are canonicalized, so the reversed query
   // is a pure cache hit with the identical value.
   const ServiceResponse reversed = service.Call("distance g 3 1");
   ASSERT_TRUE(reversed.ok) << reversed.header;
   EXPECT_EQ(reversed.values[0], forward.values[0]);
-  const ServiceCounters after = service.counters();
-  EXPECT_EQ(after.result_misses, before.result_misses);
-  EXPECT_EQ(after.result_hits, before.result_hits + 1);
-  EXPECT_EQ(after.work.sssp_runs, before.work.sssp_runs);
-  EXPECT_EQ(after.work.transport_solves, before.work.transport_solves);
+  const Rows after = service.metrics().Snapshot();
+  EXPECT_EQ(Moved(before, after, obs::kMetricCacheResultMisses), 0);
+  EXPECT_EQ(Moved(before, after, obs::kMetricCacheResultHits), 1);
+  EXPECT_EQ(Moved(before, after, obs::kMetricWorkSsspRuns), 0);
+  EXPECT_EQ(Moved(before, after, obs::kMetricWorkTransportSolves), 0);
 }
 
 TEST_F(ServiceTest, ReloadBumpsEpochAndInvalidatesCachedResults) {
@@ -212,14 +230,14 @@ TEST_F(ServiceTest, ReloadBumpsEpochAndInvalidatesCachedResults) {
   LoadFixture(&service);
   const ServiceResponse first = service.Call("distance g 0 1");
   ASSERT_TRUE(first.ok);
-  const ServiceCounters before = service.counters();
-  EXPECT_GT(before.result_size, 0);
+  const Rows before = service.metrics().Snapshot();
+  EXPECT_GT(ResultSize(&service), 0);
 
   // Reload the same graph file: a new epoch, even with identical bytes.
   const ServiceResponse reload = service.Call("load_graph g " + graph_path_);
   ASSERT_TRUE(reload.ok) << reload.header;
   EXPECT_NE(reload.header.find("epoch"), std::string::npos);
-  EXPECT_EQ(service.counters().result_size, 0);  // Eagerly purged.
+  EXPECT_EQ(ResultSize(&service), 0);  // Eagerly purged.
 
   // States were reset by the reload; the old query is recomputed from
   // scratch under the new epoch.
@@ -236,17 +254,18 @@ TEST_F(ServiceTest, ReloadBumpsEpochAndInvalidatesCachedResults) {
   const ServiceResponse recomputed = service.Call("distance g 0 1");
   ASSERT_TRUE(recomputed.ok);
   EXPECT_EQ(recomputed.values[0], first.values[0]);  // Same data, same value.
-  const ServiceCounters after = service.counters();
-  EXPECT_EQ(after.result_misses, before.result_misses + 1);
-  EXPECT_GT(after.work.sssp_runs, before.work.sssp_runs);
-  EXPECT_EQ(after.calc_builds, 2);  // New epoch, new calculator.
+  const Rows after = service.metrics().Snapshot();
+  EXPECT_EQ(Moved(before, after, obs::kMetricCacheResultMisses), 1);
+  EXPECT_GT(Moved(before, after, obs::kMetricWorkSsspRuns), 0);
+  // New epoch, new calculator.
+  EXPECT_EQ(SnapshotValue(after, obs::kMetricCacheCalcBuilds), 2);
 }
 
 TEST_F(ServiceTest, AppendStateKeepsExistingCacheEntriesValid) {
   SndService service;
   LoadFixture(&service);
   ASSERT_TRUE(service.Call("series g").ok);
-  const ServiceCounters before = service.counters();
+  const Rows before = service.metrics().Snapshot();
 
   // Append a copy of the last state through the protocol.
   std::string append = "append_state g";
@@ -261,10 +280,10 @@ TEST_F(ServiceTest, AppendStateKeepsExistingCacheEntriesValid) {
   const ServiceResponse series = service.Call("series g");
   ASSERT_TRUE(series.ok);
   EXPECT_EQ(series.values.size(), states_.size());
-  const ServiceCounters after = service.counters();
-  EXPECT_EQ(after.result_misses, before.result_misses + 1);
-  EXPECT_EQ(after.result_hits,
-            before.result_hits + static_cast<int64_t>(states_.size()) - 1);
+  const Rows after = service.metrics().Snapshot();
+  EXPECT_EQ(Moved(before, after, obs::kMetricCacheResultMisses), 1);
+  EXPECT_EQ(Moved(before, after, obs::kMetricCacheResultHits),
+            static_cast<int64_t>(states_.size()) - 1);
   EXPECT_EQ(series.values.back(), 0.0);  // Identical adjacent states.
 }
 
@@ -304,10 +323,10 @@ TEST_F(ServiceTest, EvictDropsTheSessionAndItsArtifacts) {
   SndService service;
   LoadFixture(&service);
   ASSERT_TRUE(service.Call("distance g 0 1").ok);
-  EXPECT_GT(service.counters().result_size, 0);
+  EXPECT_GT(ResultSize(&service), 0);
   const ServiceResponse evict = service.Call("evict g");
   ASSERT_TRUE(evict.ok) << evict.header;
-  EXPECT_EQ(service.counters().result_size, 0);
+  EXPECT_EQ(ResultSize(&service), 0);
   EXPECT_FALSE(service.Call("distance g 0 1").ok);
 }
 
@@ -319,9 +338,10 @@ TEST_F(ServiceTest, ResultCacheRespectsItsBound) {
   ASSERT_TRUE(service.Call("distance g 0 1").ok);
   ASSERT_TRUE(service.Call("distance g 0 2").ok);
   ASSERT_TRUE(service.Call("distance g 0 3").ok);
-  const ServiceCounters counters = service.counters();
-  EXPECT_LE(counters.result_size, 2);
-  EXPECT_GE(counters.result_evictions, 1);
+  EXPECT_LE(ResultSize(&service), 2);
+  EXPECT_GE(SnapshotValue(service.metrics().Snapshot(),
+                          obs::kMetricCacheResultEvictions),
+            1);
 }
 
 TEST_F(ServiceTest, ServeStreamRunsAScriptedSessionAndStopsAtQuit) {
@@ -437,14 +457,26 @@ TEST_F(ServiceTest, InfoOrderingIsDocumentedAndDeterministic) {
 }
 
 // Unit coverage for the LRU itself, independent of the dispatcher.
+// Sink counters for a bare cache; the service passes registry-backed
+// ones.
+struct CacheCounters {
+  obs::Counter hits;
+  obs::Counter misses;
+  obs::Counter evictions;
+  ResultCache::CounterSinks sinks() {
+    return {&hits, &misses, &evictions};
+  }
+};
+
 TEST(ResultCacheTest, LruEvictionAndPrefixErase) {
-  ResultCache cache(2);
+  CacheCounters counters;
+  ResultCache cache(2, counters.sinks());
   cache.Put("a|1", 1.0);
   cache.Put("b|1", 2.0);
   EXPECT_EQ(cache.Get("a|1"), 1.0);  // Touch: "b|1" is now LRU.
   cache.Put("c|1", 3.0);             // Evicts "b|1".
   EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.stats().evictions, 1);
+  EXPECT_EQ(counters.evictions.Value(), 1);
   EXPECT_FALSE(cache.Get("b|1").has_value());
   EXPECT_EQ(cache.Get("a|1"), 1.0);
   EXPECT_EQ(cache.Get("c|1"), 3.0);
@@ -454,12 +486,13 @@ TEST(ResultCacheTest, LruEvictionAndPrefixErase) {
 }
 
 TEST(ResultCacheTest, PutRefreshesExistingKeys) {
-  ResultCache cache(4);
+  CacheCounters counters;
+  ResultCache cache(4, counters.sinks());
   cache.Put("k", 1.0);
   cache.Put("k", 2.0);
   EXPECT_EQ(cache.size(), 1u);
   EXPECT_EQ(cache.Get("k"), 2.0);
-  EXPECT_EQ(cache.stats().hits, 1);
+  EXPECT_EQ(counters.hits.Value(), 1);
 }
 
 // The calculator and result caches are keyed on SndOptionsSignature, so
@@ -494,7 +527,6 @@ TEST(SndOptionsSignatureTest, EveryValueKnobChangesTheSignature) {
 TEST(SndOptionsSignatureTest, ThreadingKnobsLeaveTheSignatureAlone) {
   const std::string base = SndOptionsSignature(SndOptions{});
   SndOptions options;
-  options.parallel_terms = !options.parallel_terms;
   options.parallel_sssp = !options.parallel_sssp;
   EXPECT_EQ(SndOptionsSignature(options), base);
   // --threads is returned beside the options, never inside them.

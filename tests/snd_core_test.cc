@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "snd/graph/generators.h"
+#include "snd/obs/trace.h"
 #include "test_util.h"
 
 namespace snd {
@@ -372,9 +373,12 @@ TEST(SndCalculatorTest, SearchesFromTheSideWithFewerOrigins) {
   for (int32_t u : {0, 1, 2, 25, 26}) b.set_opinion(u, Opinion::kPositive);
   for (int32_t u = 34; u < 37; ++u) b.set_opinion(u, Opinion::kNegative);
   const SndCalculator calc(&g, SndOptions{});
-  const int64_t runs_before = calc.work_counters().sssp_runs;
-  const SndResult result = calc.Compute(a, b);
-  const int64_t runs = calc.work_counters().sssp_runs - runs_before;
+  obs::RequestTrace trace;
+  const SndResult result = [&] {
+    const obs::TraceScope scope(&trace);
+    return calc.Compute(a, b);
+  }();
+  const int64_t runs = trace.sssp_runs.load();
 
   int64_t expected = 0;
   int64_t reported = 0;
@@ -441,8 +445,11 @@ TEST(SndCalculatorTest, BatchedSearchesKeepValuesBitwise) {
     options.parallel_sssp = false;  // One fan-out lane at any pool size.
     const SndCalculator calc(&input.graph, options);
     ASSERT_EQ(calc.sssp_backend(), SsspBackend::kDial);
-    const int64_t runs_before = calc.work_counters().sssp_runs;
-    const SndResult result = calc.Compute(input.a, input.b);
+    obs::RequestTrace trace;
+    const SndResult result = [&] {
+      const obs::TraceScope scope(&trace);
+      return calc.Compute(input.a, input.b);
+    }();
     EXPECT_EQ(result.value, c.value)
         << std::hexfloat << result.value << " vs " << c.value;
     int64_t searches = 0;
@@ -459,7 +466,7 @@ TEST(SndCalculatorTest, BatchedSearchesKeepValuesBitwise) {
       searches += term.num_searches;
     }
     // A batch counts one search per lane.
-    EXPECT_EQ(calc.work_counters().sssp_runs - runs_before, searches);
+    EXPECT_EQ(trace.sssp_runs.load(), searches);
   }
   EXPECT_TRUE(batched_tail);
   EXPECT_TRUE(single_tail);

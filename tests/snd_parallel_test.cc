@@ -55,17 +55,12 @@ TEST_F(SndParallelTest, ComputeIsBitwiseIdenticalAcrossThreadCounts) {
   const Graph graph = RandomSymmetricGraph(80, 160, &rng);
   const NetworkState a = RandomState(80, 0.4, &rng);
   const NetworkState b = RandomState(80, 0.5, &rng);
-  for (const bool parallel_terms : {false, true}) {
-    SndOptions options;
-    options.parallel_terms = parallel_terms;
-    const SndCalculator calc(&graph, options);
-    ThreadPool::SetGlobalThreads(1);
-    const double reference = calc.Compute(a, b).value;
-    for (const int32_t threads : ThreadCounts()) {
-      ThreadPool::SetGlobalThreads(threads);
-      EXPECT_EQ(calc.Compute(a, b).value, reference)
-          << "threads=" << threads << " parallel_terms=" << parallel_terms;
-    }
+  const SndCalculator calc(&graph, SndOptions{});
+  ThreadPool::SetGlobalThreads(1);
+  const double reference = calc.Compute(a, b).value;
+  for (const int32_t threads : ThreadCounts()) {
+    ThreadPool::SetGlobalThreads(threads);
+    EXPECT_EQ(calc.Compute(a, b).value, reference) << "threads=" << threads;
   }
 }
 
@@ -441,7 +436,6 @@ TEST_F(SndParallelTest, DeltaSteppingIsExactInPoolLanes) {
   dijkstra_options.sssp_backend = SsspBackend::kDijkstra;
   SndOptions delta_options;
   delta_options.sssp_backend = SsspBackend::kDeltaStepping;
-  delta_options.parallel_terms = true;
   const SndCalculator reference_calc(&small, dijkstra_options);
   const SndCalculator delta_calc(&small, delta_options);
   const StatePairs pairs = {{0, 1}, {1, 2}, {2, 3}, {0, 3}};

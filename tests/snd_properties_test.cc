@@ -135,24 +135,5 @@ TEST(SndInvariantsTest, EvolutionAttemptsRespectBudget) {
   EXPECT_GT(changed, 0);
 }
 
-
-TEST(SndInvariantsTest, ParallelTermsMatchSerial) {
-  Rng rng(10);
-  const Graph g = RandomSymmetricGraph(80, 160, &rng);
-  const NetworkState a = RandomState(80, 0.3, &rng);
-  const NetworkState b = RandomState(80, 0.45, &rng);
-  SndOptions serial;
-  SndOptions parallel;
-  parallel.parallel_terms = true;
-  const SndCalculator calc_serial(&g, serial);
-  const SndCalculator calc_parallel(&g, parallel);
-  const SndResult rs = calc_serial.Compute(a, b);
-  const SndResult rp = calc_parallel.Compute(a, b);
-  EXPECT_DOUBLE_EQ(rs.value, rp.value);
-  for (size_t k = 0; k < rs.terms.size(); ++k) {
-    EXPECT_DOUBLE_EQ(rs.terms[k].cost, rp.terms[k].cost);
-  }
-}
-
 }  // namespace
 }  // namespace snd

@@ -73,6 +73,16 @@ metric-name
     names metrics a bench emits).  Tests are out of scope (they
     register throwaway names on purpose).
 
+counter-path
+    Every instrument comes from MetricsRegistry::Register*, so each
+    counted event has one counter that `stats` can see: in src/ outside
+    src/snd/obs/, declaring an obs::Counter, obs::Gauge or
+    obs::Histogram object (a member, a local, a container element or a
+    smart-pointer target) is a finding; pointers and references to
+    registered instruments are fine.  Tests are out of scope, as for
+    metric-name (the ResultCache unit tests pass their own sink
+    counters).
+
 budget-keys
     Every key in bench/budgets.json (the perf-budget file that
     tools/check_perf_budget.py enforces in CI) must correspond to a
@@ -223,6 +233,11 @@ _METRIC_REGISTER_LITERAL = re.compile(
     r"\bRegister(?:Counter|Gauge|Histogram)\s*\(\s*\"")
 _EV_FIELD_LITERAL = re.compile(r"\bAppendEventField\s*\([^,;]*,\s*\"")
 _PRINT_METRIC_LITERAL = re.compile(r"\bPrintMetric\s*\(\s*\"([^\"]*)\"")
+# An instrument type not followed by '*', '&' or '::': a declared object
+# (`obs::Counter hits_;`) or a template argument that owns one
+# (`std::unique_ptr<obs::Gauge>`).
+_OWNED_INSTRUMENT = re.compile(
+    r"\bobs::(Counter|Gauge|Histogram)\b(?!\s*[*&:])(?=\s*[>,]|\s+\w)")
 _OBS_NAMES_CONST = re.compile(r"\bk(Metric|Ev)\w*\s*\[\]\s*=\s*\"([^\"]*)\"")
 _OBS_NAMES_REL = os.path.join("src", "snd", "obs", "names.h")
 
@@ -352,6 +367,15 @@ def check_metric_name(rel, raw, code):
                           "[a-z0-9_]+(.[a-z0-9_]+)+")
 
 
+def check_counter_path(rel, raw, code):
+    for i, line in enumerate(code, start=1):
+        match = _OWNED_INSTRUMENT.search(line)
+        if match is not None:
+            yield i, (f"obs::{match.group(1)} object outside src/snd/obs/; "
+                      "take instruments from MetricsRegistry::Register* so "
+                      "every count has one counter the registry reports")
+
+
 # --------------------------------------------------------------------------
 # budget-keys: bench/budgets.json must reference real benches/metrics
 # --------------------------------------------------------------------------
@@ -465,6 +489,10 @@ RULES = [
          lambda rel: rel.endswith(_CPP_EXT) and
          _in(rel, "src", "tools", "bench"),
          check_metric_name),
+    Rule("counter-path",
+         lambda rel: rel.endswith(_CPP_EXT) and _in(rel, "src") and
+         not _in(rel, os.path.join("src", "snd", "obs")),
+         check_counter_path),
 ]
 
 
@@ -530,12 +558,14 @@ EXPECTED_VIOLATIONS = {
     "nodiscard-status": os.path.join("src", "snd", "api", "bad_status.h"),
     "epoch-bump": os.path.join("src", "snd", "core", "bad_epoch.cc"),
     "metric-name": os.path.join("src", "snd", "obs", "bad_metric.cc"),
+    "counter-path": os.path.join("src", "snd", "service", "bad_counter.cc"),
     "budget-keys": os.path.join("bench", "budgets.json"),
 }
 CLEAN_FIXTURES = [
     os.path.join("src", "snd", "util", "thread_pool.cc"),  # scope exemption
     os.path.join("src", "snd", "net", "event_loop.cc"),    # scope exemption
     os.path.join("tools", "waived_thread.cc"),             # waiver comment
+    os.path.join("src", "snd", "obs", "registry_owner.cc"),  # scope exemption
 ]
 
 
