@@ -39,7 +39,7 @@
 
 #include "snd/net/thread_server.h"
 #if defined(__linux__)
-#include "snd/net/shard_router.h"
+#include "snd/net/net_server.h"
 #endif
 #endif  // !defined(_WIN32)
 

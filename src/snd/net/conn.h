@@ -2,7 +2,7 @@
 // framing over partial reads (LineFramer) and the Conn record the shard
 // event loop drives. Conn owns the socket fd and both buffers but makes
 // no epoll calls and knows no policy — admission, backpressure bounds,
-// routing and shedding live in shard_router.cc, so this layer is unit
+// dispatch and shedding live in net_server.cc, so this layer is unit
 // testable without a live socket (see tests/net_framing_test.cc, which
 // proves a request split at every byte boundary frames identically to a
 // whole-line read).

@@ -1,7 +1,8 @@
 // The reactor at the bottom of the epoll net tier: one EventLoop per
 // shard runs epoll_wait on its own thread, dispatching readiness to
-// per-fd handlers, plus a DispatchPool of worker threads that run the
-// CPU-heavy SndService dispatches so the loop thread never computes.
+// per-fd handlers, and the server's one DispatchPool of worker threads
+// runs the CPU-heavy SndService dispatches for every loop, so no loop
+// thread ever computes.
 //
 // Threading contract:
 //   - Start() spawns the loop thread; every FdHandler and every
@@ -76,10 +77,6 @@ class EventLoop {
   Status Add(int fd, uint32_t events, FdHandler handler);
   Status Modify(int fd, uint32_t events);
   void Remove(int fd);
-
-  bool OnLoopThread() const {
-    return std::this_thread::get_id() == thread_.get_id();
-  }
 
  private:
   void Run();

@@ -1,68 +1,4 @@
-#include "snd/net/shard_router.h"
-
-#include <algorithm>
-
-namespace snd {
-namespace net {
-
-uint64_t HashName(std::string_view name) {
-  // FNV-1a 64-bit.
-  uint64_t hash = 14695981039346656037ull;
-  for (const char ch : name) {
-    hash ^= static_cast<unsigned char>(ch);
-    hash *= 1099511628211ull;
-  }
-  return hash;
-}
-
-namespace {
-
-// Avalanche finalizer (murmur3 fmix64). Raw FNV-1a clusters badly on
-// the near-identical vnode keys ("s0.0", "s0.1", ...): they share a
-// prefix, so their hashes differ by at most ~127 * prime — a sliver of
-// the 64-bit ring — and each shard's vnodes collapse into a handful of
-// points, skewing the load split several-fold. Mixing restores
-// near-uniform arcs.
-uint64_t MixHash(uint64_t hash) {
-  hash ^= hash >> 33;
-  hash *= 0xff51afd7ed558ccdull;
-  hash ^= hash >> 33;
-  hash *= 0xc4ceb9fe1a85ec53ull;
-  hash ^= hash >> 33;
-  return hash;
-}
-
-}  // namespace
-
-ShardRouter::ShardRouter(int shards, int vnodes_per_shard)
-    : shards_(shards < 1 ? 1 : shards) {
-  if (vnodes_per_shard < 1) vnodes_per_shard = 1;
-  ring_.reserve(static_cast<size_t>(shards_) *
-                static_cast<size_t>(vnodes_per_shard));
-  for (int shard = 0; shard < shards_; ++shard) {
-    for (int vnode = 0; vnode < vnodes_per_shard; ++vnode) {
-      const std::string key =
-          "s" + std::to_string(shard) + "." + std::to_string(vnode);
-      ring_.push_back(Point{MixHash(HashName(key)), shard});
-    }
-  }
-  // Tie-break on shard index so the mapping is deterministic even under
-  // a (vanishingly unlikely) 64-bit ring collision.
-  std::sort(ring_.begin(), ring_.end(), [](const Point& a, const Point& b) {
-    return a.hash != b.hash ? a.hash < b.hash : a.shard < b.shard;
-  });
-}
-
-int ShardRouter::ShardFor(std::string_view name) const {
-  const uint64_t hash = MixHash(HashName(name));
-  const auto it = std::lower_bound(
-      ring_.begin(), ring_.end(), hash,
-      [](const Point& point, uint64_t value) { return point.hash < value; });
-  return it == ring_.end() ? ring_.front().shard : it->shard;
-}
-
-}  // namespace net
-}  // namespace snd
+#include "snd/net/net_server.h"
 
 #if defined(__linux__)
 
@@ -70,6 +6,7 @@ int ShardRouter::ShardFor(std::string_view name) const {
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
@@ -80,7 +17,6 @@ int ShardRouter::ShardFor(std::string_view name) const {
 #include "snd/api/json_codec.h"
 #include "snd/api/text_codec.h"
 #include "snd/net/conn.h"
-#include "snd/net/event_loop.h"
 #include "snd/net/socket.h"
 #include "snd/obs/metrics.h"
 #include "snd/obs/names.h"
@@ -97,56 +33,17 @@ int64_t NowNs() {
       .count();
 }
 
-// ServeStream's transport-side skip rules, applied frame-at-a-time:
-// blank lines are dropped in both formats, '#' comments in text only.
-bool KeepFrame(const std::string& frame, WireFormat format) {
-  const size_t start = frame.find_first_not_of(" \t");
-  if (start == std::string::npos) return false;
-  if (format == WireFormat::kText && frame[start] == '#') return false;
-  return true;
-}
-
-// Extracts the session name for shard routing WITHOUT parsing the
-// request: the second text token, or the raw "name" field of the JSON
-// line (session names are [A-Za-z0-9_.-], so no unescaping is needed).
-// Routing-only: a mis-sniff on a malformed line costs shard affinity,
-// never correctness — the shared service answers identically anywhere,
-// and the real parse (with its typed error) happens in CallWire on the
-// dispatch worker.
-std::string SniffSessionName(const std::string& frame, WireFormat format) {
-  if (format == WireFormat::kText) {
-    size_t start = frame.find_first_not_of(" \t");
-    if (start == std::string::npos) return std::string();
-    start = frame.find_first_of(" \t", start);
-    if (start == std::string::npos) return std::string();
-    start = frame.find_first_not_of(" \t", start);
-    if (start == std::string::npos) return std::string();
-    const size_t end = frame.find_first_of(" \t", start);
-    return frame.substr(
-        start, end == std::string::npos ? std::string::npos : end - start);
-  }
-  const size_t key = frame.find("\"name\"");
-  if (key == std::string::npos) return std::string();
-  size_t cursor = frame.find(':', key + 6);
-  if (cursor == std::string::npos) return std::string();
-  cursor = frame.find('"', cursor + 1);
-  if (cursor == std::string::npos) return std::string();
-  const size_t end = frame.find('"', cursor + 1);
-  if (end == std::string::npos) return std::string();
-  return frame.substr(cursor + 1, end - cursor - 1);
-}
+// Dispatch workers per shard loop: the one pool has this many times
+// --shards threads.
+constexpr int kDispatchThreadsPerShard = 2;
 
 }  // namespace
 
-// One worker event loop plus its dispatch crew and the connections it
-// owns. `conns` is loop-thread-only; the counters are read from any
-// thread by Snapshot.
+// One worker event loop and the connections it owns. `conns` is
+// touched only on the loop's thread.
 struct NetServer::Shard {
   EventLoop loop;
-  DispatchPool pool;
   std::unordered_map<uint64_t, std::unique_ptr<Conn>> conns;
-  std::atomic<int64_t> conn_count{0};
-  std::atomic<int64_t> frames{0};
 };
 
 // The snd.net.* instrument family, registered into the shared service
@@ -187,7 +84,6 @@ struct NetServer::Metrics {
 NetServer::NetServer(SndService* service, const NetServerConfig& config)
     : service_(service),
       config_(config),
-      router_(config.shards),
       metrics_(std::make_unique<Metrics>(&service->metrics_registry())) {}
 
 StatusOr<std::unique_ptr<NetServer>> NetServer::Start(
@@ -211,7 +107,7 @@ Status NetServer::Init() {
     listener_ = -1;
     return status;
   }
-  const int shard_count = router_.shards();
+  const int shard_count = std::max(1, config_.shards);
   shards_.reserve(static_cast<size_t>(shard_count));
   for (int k = 0; k < shard_count; ++k) {
     auto shard = std::make_unique<Shard>();
@@ -219,18 +115,15 @@ Status NetServer::Init() {
     if (!status.ok()) {
       // Unwind what started; the destructor must not see a half-built
       // tier.
-      for (auto& built : shards_) {
-        built->pool.Stop();
-        built->loop.Stop();
-      }
+      for (auto& built : shards_) built->loop.Stop();
       shards_.clear();
       ::close(listener_);
       listener_ = -1;
       return status;
     }
-    shard->pool.Start(config_.dispatch_threads);
     shards_.push_back(std::move(shard));
   }
+  pool_.Start(kDispatchThreadsPerShard * shard_count);
   // The listener lives on shard 0's loop; accepted fds are spread
   // round-robin so no single loop owns all the read/write work.
   Shard* shard0 = shards_[0].get();
@@ -275,10 +168,10 @@ void NetServer::Shutdown() {
     MutexLock lock(mu);
     while (!done) cv.Wait(lock);
   }
-  // 2. Drain the dispatch crews: every admitted frame completes and
+  // 2. Drain the dispatch pool: every admitted frame completes and
   // posts its reply (loops still alive, so best-effort final flushes
   // still happen as those posts run).
-  for (auto& shard : shards_) shard->pool.Stop();
+  pool_.Stop();
   // 3. Stop the loops; remaining posted completions are dropped, then
   // the conn maps die with the server and close every fd.
   for (auto& shard : shards_) shard->loop.Stop();
@@ -359,8 +252,6 @@ void NetServer::AdoptConn(Shard* shard, int fd) {
     return;  // ~Conn closes the fd.
   }
   shard->conns.emplace(id, std::move(conn));
-  shard->conn_count.store(static_cast<int64_t>(shard->conns.size()),
-                          std::memory_order_relaxed);
 }
 
 void NetServer::OnConnEvent(Shard* shard, uint64_t conn_id,
@@ -407,9 +298,8 @@ void NetServer::OnConnEvent(Shard* shard, uint64_t conn_id,
               std::to_string(config_.max_frame_bytes) + " bytes"));
           break;
         }
-        shard->frames.fetch_add(1, std::memory_order_relaxed);
         metrics_->frames->Add(1);
-        if (KeepFrame(frame, config_.format)) {
+        if (!SkipWireLine(frame, config_.format)) {
           conn->pending.push_back(std::move(frame));
         }
       }
@@ -442,17 +332,12 @@ void NetServer::PumpDispatch(Shard* shard, Conn* conn) {
       conn->dispatched_at_ns = NowNs();
       inflight_.fetch_add(1, std::memory_order_relaxed);
       metrics_->inflight->Add(1);
-      // Route by session name: one graph's heavy dispatches land on one
-      // shard's crew (lock/cache affinity); nameless requests (info,
-      // stats, ...) stay home. The reply is posted back to the OWNING
-      // loop either way.
-      const std::string name = SniffSessionName(frame, config_.format);
-      Shard* target =
-          name.empty() ? shard : shards_[router_.ShardFor(name)].get();
+      // Any worker may run the frame (the service is shared and
+      // thread-safe); the reply is posted back to the owning loop.
       const uint64_t conn_id = conn->id;
       const int64_t dispatched_ns = conn->dispatched_at_ns;
-      target->pool.Submit([this, shard, conn_id, dispatched_ns,
-                           frame = std::move(frame)] {
+      pool_.Submit([this, shard, conn_id, dispatched_ns,
+                    frame = std::move(frame)] {
         SndService::WireReply reply =
             service_->CallWire(frame, config_.format);
         shard->loop.Post(
@@ -504,7 +389,7 @@ void NetServer::OnDispatchDone(Shard* shard, uint64_t conn_id,
   if (!conn->draining) {
     if (conn->BufferedWriteBytes() + reply.bytes.size() >
         config_.max_write_buffer) {
-      ShedSlowReader(shard, conn);
+      ShedSlowReader(conn);
     } else {
       conn->QueueBytes(reply.bytes);
       if (reply.close) conn->draining = true;
@@ -513,16 +398,15 @@ void NetServer::OnDispatchDone(Shard* shard, uint64_t conn_id,
   PumpDispatch(shard, conn);
 }
 
-void NetServer::ShedSlowReader(Shard* shard, Conn* conn) {
-  // The reader is not keeping up: its backlog passed --max-write-buf.
-  // Everything already queued is complete frames, so the wire is never
-  // torn — the new reply is dropped, one short typed error is appended,
-  // and the connection drains then closes.
-  (void)shard;
+void NetServer::ShedSlowReader(Conn* conn) {
+  // The reader is not keeping up: its backlog passed the write-buffer
+  // bound. Everything already queued is complete frames, so the wire is
+  // never torn — the new reply is dropped, one short typed error is
+  // appended, and the connection drains then closes.
   metrics_->backpressure_shed->Add(1);
   conn->draining = true;
   conn->QueueBytes(RenderShedError(
-      "write buffer overflow (--max-write-buf=" +
+      "write buffer overflow (limit " +
       std::to_string(config_.max_write_buffer) + " bytes)"));
 }
 
@@ -549,23 +433,9 @@ void NetServer::CloseConn(Shard* shard, uint64_t conn_id) {
   if (it == shard->conns.end()) return;
   shard->loop.Remove(it->second->fd);
   shard->conns.erase(it);  // ~Conn closes the fd.
-  shard->conn_count.store(static_cast<int64_t>(shard->conns.size()),
-                          std::memory_order_relaxed);
   active_conns_.fetch_sub(1, std::memory_order_relaxed);
   metrics_->conns_active->Add(-1);
   metrics_->conns_closed->Add(1);
-}
-
-std::vector<ShardStats> NetServer::ShardSnapshot() const {
-  std::vector<ShardStats> stats;
-  stats.reserve(shards_.size());
-  for (const auto& shard : shards_) {
-    ShardStats entry;
-    entry.conns = shard->conn_count.load(std::memory_order_relaxed);
-    entry.frames = shard->frames.load(std::memory_order_relaxed);
-    stats.push_back(entry);
-  }
-  return stats;
 }
 
 }  // namespace net

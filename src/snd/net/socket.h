@@ -1,5 +1,5 @@
 // POSIX socket plumbing shared by both serving front ends: the epoll
-// tier (event_loop.h / shard_router.h) and the legacy
+// tier (event_loop.h / net_server.h) and the legacy
 // thread-per-connection server (thread_server.h). Everything here is
 // policy-free — listeners, non-blocking mode, and a streambuf shim so
 // blocking code can speak iostreams over a socket fd.

@@ -12,6 +12,7 @@
 #include <optional>
 #include <ostream>
 #include <sstream>
+#include <string_view>
 #include <unordered_set>
 #include <utility>
 #include <variant>
@@ -1355,84 +1356,75 @@ StatusOr<Response> SndService::StatsCmd() {
   return Response(std::move(response));
 }
 
-ServiceResponse SndService::Call(const std::string& request) {
-  // Legacy string entry point: one trace covers the full pipeline, so
-  // its event carries parse and encode time the typed Dispatch (which
+bool SkipWireLine(std::string_view line, WireFormat format) {
+  const size_t start = line.find_first_not_of(" \t");
+  if (start == std::string_view::npos) return true;
+  return format == WireFormat::kText && line[start] == '#';
+}
+
+SndService::LineReply SndService::ServeLine(
+    const std::string& line, WireFormat format,
+    std::optional<SubscribeRequest>* subscribe) {
+  // The one wire pipeline: one trace covers parse, dispatch and encode,
+  // so the line's event carries the codec time the typed Dispatch (which
   // never sees wire bytes) cannot.
   obs::RequestTrace trace;
   BeginTrace(&trace);
   const obs::TraceScope scope(&trace);
-  const StatusOr<Request> parsed = [&] {
+  const bool text = format == WireFormat::kText;
+  StatusOr<Request> request = [&] {
     const obs::ObsSpan span(obs::ObsPhase::kParse);
-    return ParseTextRequest(request);
+    return text ? ParseTextRequest(line) : ParseJsonRequest(line);
   }();
-  if (!parsed.ok()) {
-    ServiceResponse rendered = [&] {
-      const obs::ObsSpan span(obs::ObsPhase::kEncode);
-      return RenderTextError(parsed.status());
-    }();
-    FinishTrace(trace, kInvalidKindIndex, std::string(), parsed.status());
-    return rendered;
+  if (subscribe != nullptr && request.ok() &&
+      std::holds_alternative<SubscribeRequest>(*request)) {
+    // Subscribe traces the whole stream itself (one event per stream);
+    // this trace is abandoned un-emitted so the line is not counted
+    // twice.
+    *subscribe = std::get<SubscribeRequest>(std::move(*request));
+    return LineReply();
   }
-  const StatusOr<Response> response = [&] {
+  const StatusOr<Response> response = [&]() -> StatusOr<Response> {
+    if (!request.ok()) return request.status();
     const obs::ObsSpan span(obs::ObsPhase::kDispatch);
-    return DispatchInner(*parsed);
+    return DispatchInner(*request);
   }();
-  ServiceResponse rendered = [&] {
+  LineReply reply;
+  {
     const obs::ObsSpan span(obs::ObsPhase::kEncode);
-    return response.ok() ? RenderTextResponse(*response)
-                         : RenderTextError(response.status());
-  }();
-  FinishTrace(trace, parsed->index(), RequestSessionName(*parsed),
+    if (text) {
+      reply.text = response.ok() ? RenderTextResponse(*response)
+                                 : RenderTextError(response.status());
+    } else {
+      reply.json = response.ok() ? RenderJsonResponse(*response)
+                                 : RenderJsonError(response.status());
+      reply.json += '\n';
+    }
+  }
+  FinishTrace(trace, request.ok() ? request->index() : kInvalidKindIndex,
+              request.ok() ? RequestSessionName(*request) : std::string(),
               response.status());
-  return rendered;
+  reply.close =
+      response.ok() && std::holds_alternative<ByeResponse>(*response);
+  return reply;
+}
+
+ServiceResponse SndService::Call(const std::string& request) {
+  return ServeLine(request, WireFormat::kText, nullptr).text;
 }
 
 SndService::WireReply SndService::CallWire(const std::string& line,
                                            WireFormat format) {
+  LineReply line_reply = ServeLine(line, format, nullptr);
   WireReply reply;
+  reply.close = line_reply.close;
   if (format == WireFormat::kText) {
-    // Call carries the full trace (parse, dispatch, encode); rendering
-    // the already-encoded ServiceResponse to bytes is pure formatting.
-    const ServiceResponse response = Call(line);
     std::ostringstream out;
-    WriteTextResponse(response, out);
+    WriteTextResponse(line_reply.text, out);
     reply.bytes = out.str();
-    reply.close = response.ok && response.header == "bye";
-    return reply;
+  } else {
+    reply.bytes = std::move(line_reply.json);
   }
-  // JSON wire: the per-line mirror of ServeStream's JSON branch, one
-  // trace covering parse, dispatch and encode.
-  obs::RequestTrace trace;
-  BeginTrace(&trace);
-  const obs::TraceScope scope(&trace);
-  const StatusOr<Request> request = [&] {
-    const obs::ObsSpan span(obs::ObsPhase::kParse);
-    return ParseJsonRequest(line);
-  }();
-  if (!request.ok()) {
-    {
-      const obs::ObsSpan span(obs::ObsPhase::kEncode);
-      reply.bytes = RenderJsonError(request.status());
-      reply.bytes += '\n';
-    }
-    FinishTrace(trace, kInvalidKindIndex, std::string(), request.status());
-    return reply;
-  }
-  const StatusOr<Response> response = [&] {
-    const obs::ObsSpan span(obs::ObsPhase::kDispatch);
-    return DispatchInner(*request);
-  }();
-  {
-    const obs::ObsSpan span(obs::ObsPhase::kEncode);
-    reply.bytes = response.ok() ? RenderJsonResponse(*response)
-                                : RenderJsonError(response.status());
-    reply.bytes += '\n';
-  }
-  FinishTrace(trace, request->index(), RequestSessionName(*request),
-              response.status());
-  reply.close =
-      response.ok() && std::holds_alternative<ByeResponse>(*response);
   return reply;
 }
 
@@ -1498,65 +1490,20 @@ void SndService::ServeStream(std::istream& in, std::ostream& out,
   std::string line;
   while (std::getline(in, line)) {
     if (!line.empty() && line.back() == '\r') line.pop_back();
-    const size_t start = line.find_first_not_of(" \t");
-    if (start == std::string::npos) continue;
-    if (format == WireFormat::kText && line[start] == '#') continue;
-    if (format == WireFormat::kText) {
-      const StatusOr<Request> request = ParseTextRequest(line);
-      if (request.ok() &&
-          std::holds_alternative<SubscribeRequest>(*request)) {
-        // Streaming command: serve it here (Dispatch rejects it).
-        ServeSubscribe(std::get<SubscribeRequest>(*request), out, format);
-        continue;
-      }
-      const ServiceResponse response = Call(line);
-      WriteTextResponse(response, out);
-      out.flush();
-      if (response.ok && response.header == "bye") return;
-    } else {
-      // Mirror of Call for the JSON wire: one per-line trace covering
-      // parse, dispatch and encode.
-      obs::RequestTrace trace;
-      BeginTrace(&trace);
-      const obs::TraceScope scope(&trace);
-      const StatusOr<Request> request = [&] {
-        const obs::ObsSpan span(obs::ObsPhase::kParse);
-        return ParseJsonRequest(line);
-      }();
-      if (!request.ok()) {
-        {
-          const obs::ObsSpan span(obs::ObsPhase::kEncode);
-          out << RenderJsonError(request.status()) << '\n';
-        }
-        out.flush();
-        FinishTrace(trace, kInvalidKindIndex, std::string(),
-                    request.status());
-        continue;
-      }
-      if (std::holds_alternative<SubscribeRequest>(*request)) {
-        // Subscribe traces itself (one event per stream); the outer
-        // trace is abandoned un-emitted so the line is not double
-        // counted. Its parse time goes unreported — harmless.
-        ServeSubscribe(std::get<SubscribeRequest>(*request), out, format);
-        continue;
-      }
-      const StatusOr<Response> response = [&] {
-        const obs::ObsSpan span(obs::ObsPhase::kDispatch);
-        return DispatchInner(*request);
-      }();
-      {
-        const obs::ObsSpan span(obs::ObsPhase::kEncode);
-        out << (response.ok() ? RenderJsonResponse(*response)
-                              : RenderJsonError(response.status()))
-            << '\n';
-      }
-      out.flush();
-      FinishTrace(trace, request->index(), RequestSessionName(*request),
-                  response.status());
-      if (response.ok() && std::holds_alternative<ByeResponse>(*response)) {
-        return;
-      }
+    if (SkipWireLine(line, format)) continue;
+    std::optional<SubscribeRequest> subscribe;
+    const LineReply reply = ServeLine(line, format, &subscribe);
+    if (subscribe.has_value()) {
+      ServeSubscribe(*subscribe, out, format);
+      continue;
     }
+    if (format == WireFormat::kText) {
+      WriteTextResponse(reply.text, out);
+    } else {
+      out << reply.json;
+    }
+    out.flush();
+    if (reply.close) return;
   }
 }
 

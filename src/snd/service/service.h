@@ -62,7 +62,9 @@
 #include <iosfwd>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
@@ -87,6 +89,12 @@ enum class WireFormat {
   kText,
   kJson,
 };
+
+// True for a line every serve loop drops unanswered: a blank line
+// (spaces and tabs only) in both formats, and a '#' comment in text.
+// Transport framing, not protocol: ServeStream and the epoll tier both
+// apply it before a line reaches the service.
+bool SkipWireLine(std::string_view line, WireFormat format);
 
 struct SndServiceConfig {
   // Bound on resident SND values (one double per (pair, options) key).
@@ -126,17 +134,18 @@ class SndService {
   // and SSSP backend.
   StatusOr<Response> Dispatch(const Request& request);
 
-  // Text-protocol convenience: ParseTextRequest -> Dispatch ->
-  // RenderText{Response,Error}. Byte-compatible with the pre-typed
-  // protocol. Thread-safe (it is Dispatch plus stateless codec work).
+  // Text-protocol convenience: ParseTextRequest -> dispatch ->
+  // RenderText{Response,Error} under one trace. Byte-compatible with the
+  // pre-typed protocol. Thread-safe (it is dispatch plus stateless codec
+  // work).
   ServiceResponse Call(const std::string& request);
 
   // Reads requests from `in` line by line and writes each response to
   // `out` (flushed per response, so socket peers see replies promptly)
-  // until EOF or `quit`. Text mode skips blank lines and '#' comments;
-  // JSON mode skips blank lines. Many ServeStream calls may run
-  // concurrently over one service — that is the shared-session
-  // deployment.
+  // until EOF or `quit`, dropping the lines SkipWireLine matches; each
+  // line is parsed once and `subscribe` streams its events here. Many
+  // ServeStream calls may run concurrently over one service — that is
+  // the shared-session deployment.
   void ServeStream(std::istream& in, std::ostream& out,
                    WireFormat format = WireFormat::kText);
 
@@ -146,11 +155,10 @@ class SndService {
   // for the same line; `close` is set by `quit`, mirroring ServeStream
   // returning after `bye`. This is the entry point for frame-at-a-time
   // transports (the epoll net tier), which cannot hand the service a
-  // blocking istream. The caller strips blank/comment lines first
-  // (ServeStream's skip rules are transport-side framing, not protocol).
-  // Streaming `subscribe` is the one line with no finite reply; Dispatch
-  // rejects it with the typed failed_precondition, which is exactly the
-  // wire behavior here. Thread-safe, traced like Call (parse, dispatch
+  // blocking istream. The caller drops the lines SkipWireLine matches
+  // first. Streaming `subscribe` is the one line with no finite reply;
+  // it gets the typed failed_precondition, which is exactly the wire
+  // behavior here. Thread-safe, traced like Call (parse, dispatch
   // and encode spans all covered).
   struct WireReply {
     std::string bytes;
@@ -310,9 +318,9 @@ class SndService {
 
   static constexpr size_t kInvalidKindIndex = std::variant_size_v<Request>;
 
-  // The dispatch body (the pre-observability Dispatch): every traced
-  // entry point — Dispatch, Call, ServeStream — routes through it
-  // inside its own trace/span bracket.
+  // The dispatch body (the pre-observability Dispatch): both traced
+  // request paths — Dispatch and ServeLine — route through it inside
+  // their own trace/span bracket.
   StatusOr<Response> DispatchInner(const Request& request);
 
   StatusOr<Response> LoadGraphCmd(const LoadGraphRequest& request);
@@ -406,6 +414,24 @@ class SndService {
       const SubscribeRequest& request,
       const std::function<void(int64_t from)>& on_start,
       const std::function<bool(const SubscribeEvent&)>& on_event);
+
+  // One wire line's reply from ServeLine: `text` on the text codec,
+  // `json` (the '\n'-terminated reply line) on the JSON codec. `close`
+  // is set by `quit` on both.
+  struct LineReply {
+    ServiceResponse text;
+    std::string json;
+    bool close = false;
+  };
+
+  // The one per-line wire pipeline behind Call, CallWire and
+  // ServeStream: parses `line` in `format`, dispatches it and encodes
+  // the reply, all under one trace. With `subscribe` set, a subscribe
+  // line is parsed only: it comes back in `*subscribe`, untraced here
+  // (Subscribe traces the whole stream), and the reply is empty.
+  // Without it, subscribe dispatches to its typed streaming error.
+  LineReply ServeLine(const std::string& line, WireFormat format,
+                      std::optional<SubscribeRequest>* subscribe);
 
   // Streaming body of `subscribe` for ServeStream connections: renders
   // the header / events / terminator of Subscribe() onto `out` in

