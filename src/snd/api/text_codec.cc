@@ -3,7 +3,6 @@
 #include <cctype>
 #include <cstdint>
 #include <ostream>
-#include <sstream>
 #include <utility>
 #include <variant>
 
@@ -14,11 +13,20 @@
 namespace snd {
 namespace {
 
+// Splits on the characters `std::istream >> std::string` skips in the
+// "C" locale.
 std::vector<std::string> Tokenize(const std::string& line) {
+  const auto is_space = [](char c) {
+    return std::isspace(static_cast<unsigned char>(c)) != 0;
+  };
   std::vector<std::string> tokens;
-  std::istringstream in(line);
-  std::string token;
-  while (in >> token) tokens.push_back(token);
+  size_t at = 0;
+  while (at < line.size()) {
+    while (at < line.size() && is_space(line[at])) ++at;
+    const size_t start = at;
+    while (at < line.size() && !is_space(line[at])) ++at;
+    if (at > start) tokens.emplace_back(line, start, at - start);
+  }
   return tokens;
 }
 
@@ -418,8 +426,22 @@ ServiceResponse RenderTextError(const Status& status) {
 }
 
 void WriteTextResponse(const ServiceResponse& response, std::ostream& out) {
-  out << (response.ok ? "ok " : "error ") << response.header << '\n';
-  for (const std::string& row : response.rows) out << row << '\n';
+  std::string bytes;
+  AppendTextResponse(response, &bytes);
+  out << bytes;
+}
+
+void AppendTextResponse(const ServiceResponse& response, std::string* out) {
+  size_t size = response.header.size() + 7;
+  for (const std::string& row : response.rows) size += row.size() + 1;
+  out->reserve(out->size() + size);
+  out->append(response.ok ? "ok " : "error ");
+  out->append(response.header);
+  out->push_back('\n');
+  for (const std::string& row : response.rows) {
+    out->append(row);
+    out->push_back('\n');
+  }
 }
 
 }  // namespace snd

@@ -82,6 +82,8 @@ ServiceResponse RenderTextError(const Status& status);
 // Serializes a rendered response onto the wire: the "ok "/"error "
 // prefixed header line followed by the data rows.
 void WriteTextResponse(const ServiceResponse& response, std::ostream& out);
+// The same bytes appended to `out`.
+void AppendTextResponse(const ServiceResponse& response, std::string* out);
 
 }  // namespace snd
 

@@ -76,9 +76,6 @@ class Conn {
   // The epoll interest mask currently armed for this fd; the shard's
   // interest updater compares against it to skip redundant epoll_ctls.
   uint32_t armed_events = 0;
-  // steady_clock stamp of the frame whose dispatch is inflight, for the
-  // snd.net.frame.latency histogram.
-  int64_t dispatched_at_ns = 0;
 
   // -- Write side. Replies append here and drain through non-blocking
   // writes; the shard sheds the connection when the buffered backlog

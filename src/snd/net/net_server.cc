@@ -10,7 +10,8 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <sstream>
+#include <memory>
+#include <optional>
 #include <unordered_map>
 #include <utility>
 
@@ -180,9 +181,9 @@ void NetServer::Shutdown() {
 std::string NetServer::RenderShedError(const std::string& message) const {
   const Status status = Status::ResourceExhausted(message);
   if (config_.format == WireFormat::kText) {
-    std::ostringstream out;
-    WriteTextResponse(RenderTextError(status), out);
-    return out.str();
+    std::string bytes;
+    AppendTextResponse(RenderTextError(status), &bytes);
+    return bytes;
   }
   return RenderJsonError(status) + "\n";
 }
@@ -309,46 +310,49 @@ void NetServer::OnConnEvent(Shard* shard, uint64_t conn_id,
 }
 
 void NetServer::PumpDispatch(Shard* shard, Conn* conn) {
-  // The per-connection step function: start the next dispatch if one
-  // may run, flush, close if finished, re-arm interest. Loop thread.
-  if (!conn->draining && !conn->inflight) {
-    while (!conn->pending.empty()) {
-      if (config_.max_inflight > 0 &&
-          inflight_.load(std::memory_order_relaxed) >=
-              config_.max_inflight) {
-        // Typed per-request shed: the client hears `resource_exhausted`
-        // for this frame NOW instead of silently queueing behind a
-        // saturated dispatch tier; the connection stays usable.
-        metrics_->inflight_shed->Add(1);
-        conn->pending.pop_front();
-        conn->QueueBytes(RenderShedError(
-            "server saturated (--max-inflight=" +
-            std::to_string(config_.max_inflight) + ")"));
-        continue;
-      }
-      std::string frame = std::move(conn->pending.front());
-      conn->pending.pop_front();
-      conn->inflight = true;
-      conn->dispatched_at_ns = NowNs();
-      inflight_.fetch_add(1, std::memory_order_relaxed);
-      metrics_->inflight->Add(1);
-      // Any worker may run the frame (the service is shared and
-      // thread-safe); the reply is posted back to the owning loop.
-      const uint64_t conn_id = conn->id;
-      const int64_t dispatched_ns = conn->dispatched_at_ns;
-      pool_.Submit([this, shard, conn_id, dispatched_ns,
-                    frame = std::move(frame)] {
-        SndService::WireReply reply =
-            service_->CallWire(frame, config_.format);
-        shard->loop.Post(
-            [this, shard, conn_id, dispatched_ns,
-             reply = std::move(reply)]() mutable {
-              OnDispatchDone(shard, conn_id, std::move(reply),
-                             dispatched_ns);
-            });
-      });
-      break;  // One inflight per connection keeps replies in order.
+  // The per-connection step function: answer pending frames the
+  // service can serve from its result cache right here, start the next
+  // dispatch for the first one it cannot, flush, close if finished,
+  // re-arm interest. Loop thread.
+  while (!conn->draining && !conn->inflight && !conn->pending.empty()) {
+    const int64_t started_ns = NowNs();
+    std::unique_ptr<SndService::ParsedLine> line =
+        service_->ParseWire(conn->pending.front(), config_.format);
+    conn->pending.pop_front();
+    if (std::optional<SndService::WireReply> reply =
+            service_->TryServeCached(line.get())) {
+      // A cache hit: no dispatch slot, no handoff, never shed.
+      metrics_->frame_latency->Record(NowNs() - started_ns);
+      QueueReply(conn, std::move(*reply));
+      continue;
     }
+    if (config_.max_inflight > 0 &&
+        inflight_.load(std::memory_order_relaxed) >= config_.max_inflight) {
+      // Typed per-request shed: the client hears `resource_exhausted`
+      // for this frame NOW instead of silently queueing behind a
+      // saturated dispatch tier; the connection stays usable.
+      metrics_->inflight_shed->Add(1);
+      conn->QueueBytes(RenderShedError(
+          "server saturated (--max-inflight=" +
+          std::to_string(config_.max_inflight) + ")"));
+      continue;
+    }
+    conn->inflight = true;
+    inflight_.fetch_add(1, std::memory_order_relaxed);
+    metrics_->inflight->Add(1);
+    // Any worker may answer the line (the service is shared and
+    // thread-safe); the reply is posted back to the owning loop.
+    const uint64_t conn_id = conn->id;
+    pool_.Submit([this, shard, conn_id, started_ns,
+                  line = std::shared_ptr<SndService::ParsedLine>(
+                      std::move(line))] {
+      SndService::WireReply reply = service_->CallWire(line.get());
+      shard->loop.Post([this, shard, conn_id, started_ns,
+                        reply = std::move(reply)]() mutable {
+        OnDispatchDone(shard, conn_id, std::move(reply), started_ns);
+      });
+    });
+    break;  // One inflight per connection keeps replies in order.
   }
   if (conn->WantsWrite()) {
     size_t flushed = 0;
@@ -377,25 +381,27 @@ void NetServer::PumpDispatch(Shard* shard, Conn* conn) {
 
 void NetServer::OnDispatchDone(Shard* shard, uint64_t conn_id,
                                SndService::WireReply reply,
-                               int64_t dispatched_ns) {
+                               int64_t started_ns) {
   // Posted to the owning loop by a dispatch worker.
   inflight_.fetch_sub(1, std::memory_order_relaxed);
   metrics_->inflight->Add(-1);
-  metrics_->frame_latency->Record(NowNs() - dispatched_ns);
+  metrics_->frame_latency->Record(NowNs() - started_ns);
   const auto it = shard->conns.find(conn_id);
   if (it == shard->conns.end()) return;  // Closed while computing.
   Conn* conn = it->second.get();
   conn->inflight = false;
-  if (!conn->draining) {
-    if (conn->BufferedWriteBytes() + reply.bytes.size() >
-        config_.max_write_buffer) {
-      ShedSlowReader(conn);
-    } else {
-      conn->QueueBytes(reply.bytes);
-      if (reply.close) conn->draining = true;
-    }
-  }
+  if (!conn->draining) QueueReply(conn, std::move(reply));
   PumpDispatch(shard, conn);
+}
+
+void NetServer::QueueReply(Conn* conn, SndService::WireReply reply) {
+  if (conn->BufferedWriteBytes() + reply.bytes.size() >
+      config_.max_write_buffer) {
+    ShedSlowReader(conn);
+    return;
+  }
+  conn->QueueBytes(reply.bytes);
+  if (reply.close) conn->draining = true;
 }
 
 void NetServer::ShedSlowReader(Conn* conn) {

@@ -1,17 +1,23 @@
 // The epoll serving tier: N worker event loops (shards) that own the
-// connections, one dispatch pool that runs every request, and the
-// NetServer front end tying listener, admission control and
-// backpressure together over one shared SndService.
+// connections and answer result-cache hits themselves, one dispatch
+// pool that runs every other request, and the NetServer front end
+// tying listener, admission control and backpressure together over one
+// shared SndService.
 //
 // Data flow per connection:
 //
 //   accept (shard 0 loop) --round-robin--> owning shard loop
-//     loop: non-blocking reads -> LineFramer -> pending frames
-//     admission: --max-conns at accept, --max-inflight per frame,
-//       both answered with a typed resource_exhausted reply (never a
-//       silent queue, never a silent close of an admitted conn)
-//     dispatch: the one pool (2 workers per shard) runs
-//       SndService::CallWire off the loop thread
+//     loop: non-blocking reads -> LineFramer -> pending frames ->
+//       SndService::ParseWire, once per frame
+//     hits: SndService::TryServeCached answers a read whose every pair
+//       is cached right on the loop thread, with try-locks only; it
+//       takes no dispatch slot and is never shed
+//     admission: --max-conns at accept, --max-inflight per dispatched
+//       frame, both answered with a typed resource_exhausted reply
+//       (never a silent queue, never a silent close of an admitted
+//       conn)
+//     dispatch: everything else goes to the one pool (2 workers per
+//       shard), which runs SndService::CallWire on the parsed frame
 //     completion: Post back to the owning loop (eventfd wakeup) ->
 //       bounded write buffer -> non-blocking flush; a slow reader's
 //       backlog passing the write-buffer bound sheds the connection
@@ -44,7 +50,9 @@ struct NetServerConfig {
   int shards = 1;      // Worker event loops.
   // Admission control. <= 0 disables the bound.
   int max_conns = 256;     // Accepted-and-open connections, process-wide.
-  int max_inflight = 0;    // Dispatches outstanding, process-wide.
+  // Dispatches outstanding, process-wide; cache hits answered on the
+  // loop take no slot.
+  int max_inflight = 0;
   // Backpressure + framing bounds, per connection.
   size_t max_write_buffer = 4u << 20;  // Shed a reader lagging past this.
   size_t max_frame_bytes = 1u << 20;   // Shed a line longer than this.
@@ -84,7 +92,10 @@ class NetServer {
   void OnConnEvent(Shard* shard, uint64_t conn_id, uint32_t events);
   void PumpDispatch(Shard* shard, class Conn* conn);
   void OnDispatchDone(Shard* shard, uint64_t conn_id,
-                      SndService::WireReply reply, int64_t dispatched_ns);
+                      SndService::WireReply reply, int64_t started_ns);
+  // Queues a reply's bytes, or sheds the reader if they would pass the
+  // write-buffer bound.
+  void QueueReply(class Conn* conn, SndService::WireReply reply);
   void ShedSlowReader(class Conn* conn);
   void UpdateInterest(Shard* shard, class Conn* conn);
   void CloseConn(Shard* shard, uint64_t conn_id);

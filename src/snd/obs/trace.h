@@ -46,7 +46,6 @@ inline constexpr int kSsspSlotDelta = 2;
 inline constexpr int kNumSsspSlots = 3;
 
 struct RequestTrace {
-  uint64_t trace_id = 0;
   std::chrono::steady_clock::time_point start;
 
   // Written from any thread running on behalf of this request.

@@ -89,7 +89,9 @@ StatusOr<ParsedSndFlags> ParseSndFlags(
   return parsed;
 }
 
-std::string SndOptionsSignature(const SndOptions& options) {
+namespace {
+
+std::string BuildSignature(const SndOptions& options) {
   std::string signature = GroundModelKindName(options.model);
   signature += ',';
   signature += BankStrategyName(options.bank_strategy);
@@ -108,6 +110,30 @@ std::string SndOptionsSignature(const SndOptions& options) {
   signature += ',';
   signature += SsspBackendName(options.sssp_backend);
   return signature;
+}
+
+// True when `a` and `b` agree on every knob BuildSignature formats.
+bool SameSignatureKnobs(const SndOptions& a, const SndOptions& b) {
+  return a.model == b.model && a.bank_strategy == b.bank_strategy &&
+         a.banks_per_cluster == b.banks_per_cluster &&
+         a.gamma_policy == b.gamma_policy &&
+         a.gamma_scale == b.gamma_scale && a.fixed_gamma == b.fixed_gamma &&
+         a.clustering_seed == b.clustering_seed &&
+         a.lp_max_iterations == b.lp_max_iterations &&
+         a.lp_min_community_size == b.lp_min_community_size &&
+         a.sssp_backend == b.sssp_backend;
+}
+
+}  // namespace
+
+std::string SndOptionsSignature(const SndOptions& options) {
+  // A request without flags carries the defaults, so their signature is
+  // formatted once. The defaults' doubles are nonzero, so == on them
+  // agrees with the %.17g text.
+  static const SndOptions kDefaults;
+  static const std::string kDefaultSignature = BuildSignature(kDefaults);
+  if (SameSignatureKnobs(options, kDefaults)) return kDefaultSignature;
+  return BuildSignature(options);
 }
 
 }  // namespace snd

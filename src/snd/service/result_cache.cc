@@ -24,6 +24,26 @@ std::optional<double> ResultCache::Get(const std::string& key) {
   return it->second->second;
 }
 
+bool ResultCache::GetAll(const std::vector<std::string>& keys,
+                         std::vector<double>* values) {
+  const MutexLock lock(mu_);
+  std::vector<LruList::iterator> found;
+  found.reserve(keys.size());
+  for (const std::string& key : keys) {
+    const auto it = map_.find(key);
+    if (it == map_.end()) return false;
+    found.push_back(it->second);
+  }
+  values->clear();
+  values->reserve(found.size());
+  for (const LruList::iterator entry : found) {
+    lru_.splice(lru_.begin(), lru_, entry);
+    values->push_back(entry->second);
+  }
+  sinks_.hits->Add(static_cast<int64_t>(found.size()));
+  return true;
+}
+
 void ResultCache::Put(const std::string& key, double value) {
   const MutexLock lock(mu_);
   const auto it = map_.find(key);

@@ -59,6 +59,13 @@ class ResultCache {
   // hit or a miss.
   std::optional<double> Get(const std::string& key) SND_EXCLUDES(mu_);
 
+  // All-or-nothing Get over `keys`: when every key is resident, fills
+  // `values` in key order and has exactly the effect of Get on each key
+  // in turn (touch and hit count) and returns true. Otherwise returns
+  // false and changes nothing: no touch, no hit, no miss counted.
+  bool GetAll(const std::vector<std::string>& keys,
+              std::vector<double>* values) SND_EXCLUDES(mu_);
+
   // Inserts (or refreshes) `key`, evicting least-recently-used entries
   // over capacity.
   void Put(const std::string& key, double value) SND_EXCLUDES(mu_);

@@ -149,6 +149,169 @@ void StampTraceEpochs(uint64_t graph_epoch, uint64_t sub_epoch,
   }
 }
 
+// The shared fields of a distance, series, matrix or anomalies read;
+// nullptr for every other request.
+const ComputeRequestBase* ComputeReadBase(const Request& request) {
+  if (const auto* typed = std::get_if<DistanceRequest>(&request)) {
+    return typed;
+  }
+  if (const auto* typed = std::get_if<SeriesRequest>(&request)) return typed;
+  if (const auto* typed = std::get_if<MatrixRequest>(&request)) return typed;
+  if (const auto* typed = std::get_if<AnomaliesRequest>(&request)) {
+    return typed;
+  }
+  return nullptr;
+}
+
+// The state pairs (local, resident-window indices) a compute read
+// evaluates on `session`, or why it cannot run there.
+StatusOr<StatePairs> ComputePairs(const Request& request,
+                                  const GraphSession& session) {
+  const auto num_states = static_cast<int32_t>(session.states.size());
+  // Wire indices are global; the resident window is [first, first +
+  // num_states) once retention has trimmed (first stays 0 without it).
+  const int64_t first = session.first_state_index;
+  if (const auto* distance = std::get_if<DistanceRequest>(&request)) {
+    if (num_states == 0) {
+      // Like series/matrix below: the session exists but has no states
+      // yet (for example between load_graph and load_states).
+      return Status::FailedPrecondition(
+          "distance: no states loaded (have 0 states)");
+    }
+    for (const int32_t index : {distance->i, distance->j}) {
+      if (index < 0 || index < first || index >= first + num_states) {
+        if (first == 0) {  // Legacy message, pinned by tests.
+          return Status::InvalidArgument(
+              "state index '" + std::to_string(index) +
+              "' out of range (have " + std::to_string(num_states) +
+              " states)");
+        }
+        return Status::InvalidArgument(
+            "state index '" + std::to_string(index) +
+            "' outside retained window [" + std::to_string(first) + ", " +
+            std::to_string(first + num_states) + ")");
+      }
+    }
+    // SND is symmetric; evaluate the canonical (lower, higher)
+    // orientation so reversed queries share cache entries with
+    // `series` and `matrix`, which enumerate pairs as i < j.
+    const auto li = static_cast<int32_t>(distance->i - first);
+    const auto lj = static_cast<int32_t>(distance->j - first);
+    return StatePairs{{std::min(li, lj), std::max(li, lj)}};
+  }
+  if (num_states < 2) {
+    const char* noun = std::get_if<SeriesRequest>(&request) != nullptr
+                           ? "series"
+                           : std::get_if<MatrixRequest>(&request) != nullptr
+                                 ? "matrix"
+                                 : "anomalies";
+    return Status::FailedPrecondition(
+        std::string(noun) + ": need at least two states (have " +
+        std::to_string(num_states) + ")");
+  }
+  if (std::get_if<MatrixRequest>(&request) != nullptr) {
+    return AllUnorderedPairs(num_states);
+  }
+  return AdjacentPairs(num_states);
+}
+
+// The response to a compute read whose ComputePairs evaluated to
+// `values` on `session`.
+Response ComputeResponse(const Request& request, const std::string& name,
+                         const GraphSession& session,
+                         const StatePairs& pairs,
+                         const std::vector<double>& values) {
+  const int64_t first = session.first_state_index;
+  if (const auto* distance = std::get_if<DistanceRequest>(&request)) {
+    return Response(
+        DistanceResponse{name, distance->i, distance->j, values[0]});
+  }
+  if (std::get_if<SeriesRequest>(&request) != nullptr) {
+    SeriesResponse response;
+    response.name = name;
+    response.values = values;
+    // Report global transition labels.
+    response.pairs.reserve(pairs.size());
+    for (const auto& [a, b] : pairs) {
+      response.pairs.emplace_back(static_cast<int32_t>(first + a),
+                                  static_cast<int32_t>(first + b));
+    }
+    return Response(std::move(response));
+  }
+  if (std::get_if<MatrixRequest>(&request) != nullptr) {
+    const auto num_states = static_cast<int32_t>(session.states.size());
+    MatrixResponse response;
+    response.name = name;
+    response.num_states = num_states;
+    response.values.assign(
+        static_cast<size_t>(num_states) * static_cast<size_t>(num_states),
+        0.0);
+    for (size_t k = 0; k < pairs.size(); ++k) {
+      const auto [a, b] = pairs[k];
+      response.values[static_cast<size_t>(a) * num_states + b] = values[k];
+      response.values[static_cast<size_t>(b) * num_states + a] = values[k];
+    }
+    return Response(std::move(response));
+  }
+  // anomalies: the shared Section 6.2 scoring pipeline (the same
+  // ScoreAdjacentDistances the CLI uses) over cache-served distances.
+  const std::vector<double> scores =
+      ScoreAdjacentDistances(values, session.states, nullptr);
+  std::vector<size_t> order(scores.size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return scores[a] != scores[b] ? scores[a] > scores[b] : a < b;
+  });
+  AnomaliesResponse response;
+  response.name = name;
+  for (const size_t t : order) {
+    response.transitions.push_back(
+        static_cast<int32_t>(first + static_cast<int64_t>(t)));
+    response.scores.push_back(scores[t]);
+  }
+  return Response(std::move(response));
+}
+
+// The calculator-table key of (session, options signature). The
+// sub-epoch is part of it: an in-place edge mutation retires (or
+// rebuilds) the old sub-epoch's calculators, so a lookup can never hit
+// a calculator built on a pre-mutation graph.
+std::string CalculatorKey(const std::string& name,
+                          const GraphSession& session,
+                          const std::string& signature) {
+  return name + "|g" + std::to_string(session.graph_epoch) + "." +
+         std::to_string(session.graph_sub_epoch) + "|" + signature;
+}
+
+// The result-cache key prefix shared by every pair of (session, options
+// signature).
+std::string ResultKeyPrefix(const std::string& name,
+                            const GraphSession& session,
+                            const std::string& signature) {
+  return name + "|g" + std::to_string(session.graph_epoch) + "|s" +
+         std::to_string(session.states_epoch) + "|" + signature + "|";
+}
+
+// The result-cache key of a local pair. Keys carry GLOBAL indices
+// (local + first_state_index): cached values survive retention trimming
+// and graph sub-epoch retention can match them against certified
+// states.
+std::string ResultKey(const std::string& prefix, int64_t base_index,
+                      const std::pair<int32_t, int32_t>& pair) {
+  return prefix + std::to_string(base_index + pair.first) + "," +
+         std::to_string(base_index + pair.second);
+}
+
+// Parses one wire line under `trace`, starting its clock.
+StatusOr<Request> ParseTraced(const std::string& line, WireFormat format,
+                              obs::RequestTrace* trace) {
+  trace->start = std::chrono::steady_clock::now();
+  const obs::TraceScope scope(trace);
+  const obs::ObsSpan span(obs::ObsPhase::kParse);
+  return format == WireFormat::kText ? ParseTextRequest(line)
+                                     : ParseJsonRequest(line);
+}
+
 }  // namespace
 
 SndService::SndService(SndServiceConfig config)
@@ -239,12 +402,6 @@ SndService::ObsMetrics SndService::RegisterObsMetrics(
   return m;
 }
 
-void SndService::BeginTrace(obs::RequestTrace* trace) {
-  trace->trace_id =
-      next_trace_id_.fetch_add(1, std::memory_order_relaxed) + 1;
-  trace->start = std::chrono::steady_clock::now();
-}
-
 void SndService::FinishTrace(const obs::RequestTrace& trace,
                              size_t kind_index, std::string name,
                              const Status& status) {
@@ -297,7 +454,7 @@ void SndService::FinishTrace(const obs::RequestTrace& trace,
   }
   if (config_.event_log == nullptr) return;
   obs::RequestEvent event;
-  event.trace_id = trace.trace_id;
+  event.trace_id = next_trace_id_.fetch_add(1, std::memory_order_relaxed) + 1;
   event.kind = kRequestKindNames[kind_index];
   event.name = std::move(name);
   event.status = StatusCodeName(status.code());
@@ -334,7 +491,7 @@ StatusOr<Response> SndService::Dispatch(const Request& request) {
   // Typed entry point: install a fresh trace so pipeline spans and work
   // hooks attribute to this request, then fold + emit on the way out.
   obs::RequestTrace trace;
-  BeginTrace(&trace);
+  trace.start = std::chrono::steady_clock::now();
   const StatusOr<Response> response = [&] {
     const obs::TraceScope scope(&trace);
     const obs::ObsSpan span(obs::ObsPhase::kDispatch);
@@ -367,17 +524,8 @@ StatusOr<Response> SndService::DispatchInner(const Request& request) {
     return Status::FailedPrecondition(
         "subscribe requires a streaming connection");
   }
-  if (const auto* typed = std::get_if<DistanceRequest>(&request)) {
-    return ComputeCmd(request, *typed);
-  }
-  if (const auto* typed = std::get_if<SeriesRequest>(&request)) {
-    return ComputeCmd(request, *typed);
-  }
-  if (const auto* typed = std::get_if<MatrixRequest>(&request)) {
-    return ComputeCmd(request, *typed);
-  }
-  if (const auto* typed = std::get_if<AnomaliesRequest>(&request)) {
-    return ComputeCmd(request, *typed);
+  if (const ComputeRequestBase* base = ComputeReadBase(request)) {
+    return ComputeCmd(request, *base);
   }
   if (std::get_if<InfoRequest>(&request) != nullptr) return InfoCmd();
   if (std::get_if<StatsRequest>(&request) != nullptr) return StatsCmd();
@@ -834,12 +982,7 @@ StatusOr<Response> SndService::MutateEdgeLocked(const std::string& name,
 std::shared_ptr<SndService::CalcEntry> SndService::GetCalculator(
     const std::string& name, const GraphSession& session,
     const SndOptions& options, const std::string& signature) {
-  // The sub-epoch is part of the key: an in-place edge mutation retires
-  // (or rebuilds) the old sub-epoch's calculators, so a lookup can
-  // never hit a calculator built on a pre-mutation graph.
-  const std::string key = name + "|g" + std::to_string(session.graph_epoch) +
-                          "." + std::to_string(session.graph_sub_epoch) +
-                          "|" + signature;
+  const std::string key = CalculatorKey(name, session, signature);
   std::shared_ptr<CalcEntry> entry;
   {
     const MutexLock lock(calc_mu_);
@@ -897,12 +1040,7 @@ std::vector<double> SndService::EvaluatePairs(const GraphSession& session,
   std::vector<size_t> missing_pos;
   std::vector<std::string> missing_keys;
   for (size_t k = 0; k < pairs.size(); ++k) {
-    // Keys carry GLOBAL indices (local + first_state_index): cached
-    // values survive retention trimming and graph sub-epoch retention
-    // can match them against certified states.
-    std::string key = key_prefix +
-                      std::to_string(base_index + pairs[k].first) + "," +
-                      std::to_string(base_index + pairs[k].second);
+    std::string key = ResultKey(key_prefix, base_index, pairs[k]);
     const std::optional<double> cached = results_.Get(key);
     if (cached.has_value()) {
       values[k] = *cached;
@@ -970,43 +1108,8 @@ StatusOr<Response> SndService::ComputeLocked(const Request& request,
   }
   StampTraceEpochs(session->graph_epoch, session->graph_sub_epoch,
                    session->states_epoch);
-  const auto num_states = static_cast<int32_t>(session->states.size());
-  // Wire indices are global; the resident window is [first, first +
-  // num_states) once retention has trimmed (first stays 0 without it).
-  const int64_t first = session->first_state_index;
-
-  const auto* distance = std::get_if<DistanceRequest>(&request);
-  if (distance != nullptr && num_states == 0) {
-    // Like series/matrix below: the session exists but has no states yet
-    // (for example between load_graph and load_states).
-    return Status::FailedPrecondition(
-        "distance: no states loaded (have 0 states)");
-  }
-  if (distance != nullptr) {
-    for (const int32_t index : {distance->i, distance->j}) {
-      if (index < 0 || index < first || index >= first + num_states) {
-        if (first == 0) {  // Legacy message, pinned by tests.
-          return Status::InvalidArgument(
-              "state index '" + std::to_string(index) +
-              "' out of range (have " + std::to_string(num_states) +
-              " states)");
-        }
-        return Status::InvalidArgument(
-            "state index '" + std::to_string(index) +
-            "' outside retained window [" + std::to_string(first) + ", " +
-            std::to_string(first + num_states) + ")");
-      }
-    }
-  } else if (num_states < 2) {
-    const char* noun = std::get_if<SeriesRequest>(&request) != nullptr
-                           ? "series"
-                           : std::get_if<MatrixRequest>(&request) != nullptr
-                                 ? "matrix"
-                                 : "anomalies";
-    return Status::FailedPrecondition(
-        std::string(noun) + ": need at least two states (have " +
-        std::to_string(num_states) + ")");
-  }
+  const StatusOr<StatePairs> pairs = ComputePairs(request, *session);
+  if (!pairs.ok()) return pairs.status();
 
   // --threads is process-global pool state, applied only once the
   // request is known valid (and only under the writer lock — see
@@ -1016,76 +1119,56 @@ StatusOr<Response> SndService::ComputeLocked(const Request& request,
   const std::string signature = SndOptionsSignature(base.options);
   const std::shared_ptr<CalcEntry> entry =
       GetCalculator(base.name, *session, base.options, signature);
+  const std::vector<double> values = EvaluatePairs(
+      *session, entry.get(), ResultKeyPrefix(base.name, *session, signature),
+      *pairs, session->first_state_index);
+  return ComputeResponse(request, base.name, *session, *pairs, values);
+}
+
+std::optional<Response> SndService::ProbeCachedLocked(
+    const Request& request, const ComputeRequestBase& base,
+    obs::RequestTrace* trace) {
+  const GraphSession* session = registry_.Find(base.name);
+  if (session == nullptr) return std::nullopt;
+  const StatusOr<StatePairs> pairs = ComputePairs(request, *session);
+  if (!pairs.ok()) return std::nullopt;
+  const std::string signature = SndOptionsSignature(base.options);
   const std::string key_prefix =
-      base.name + "|g" + std::to_string(session->graph_epoch) + "|s" +
-      std::to_string(session->states_epoch) + "|" + signature + "|";
-
-  if (distance != nullptr) {
-    // SND is symmetric; evaluate the canonical (lower, higher)
-    // orientation so reversed queries share cache entries with
-    // `series` and `matrix`, which enumerate pairs as i < j.
-    const auto li = static_cast<int32_t>(distance->i - first);
-    const auto lj = static_cast<int32_t>(distance->j - first);
-    const std::vector<double> values =
-        EvaluatePairs(*session, entry.get(), key_prefix,
-                      {{std::min(li, lj), std::max(li, lj)}}, first);
-    return Response(DistanceResponse{base.name, distance->i, distance->j,
-                                     values[0]});
+      ResultKeyPrefix(base.name, *session, signature);
+  std::vector<std::string> keys;
+  keys.reserve(pairs->size());
+  for (const auto& pair : *pairs) {
+    keys.push_back(
+        ResultKey(key_prefix, session->first_state_index, pair));
   }
-
-  if (std::get_if<SeriesRequest>(&request) != nullptr) {
-    SeriesResponse response;
-    response.name = base.name;
-    const StatePairs pairs = AdjacentPairs(num_states);
-    response.values =
-        EvaluatePairs(*session, entry.get(), key_prefix, pairs, first);
-    // Report global transition labels.
-    response.pairs.reserve(pairs.size());
-    for (const auto& [a, b] : pairs) {
-      response.pairs.emplace_back(static_cast<int32_t>(first + a),
-                                  static_cast<int32_t>(first + b));
+  const std::string calc_key = CalculatorKey(base.name, *session, signature);
+  std::vector<double> values;
+  if (!calc_mu_.TryLock()) return std::nullopt;
+  bool hit = false;
+  const auto it = calculators_.find(calc_key);
+  if (it != calculators_.end()) {
+    // A calculator still being built declines: GetCalculator would
+    // wait for the build.
+    CalcEntry* entry = it->second.entry.get();
+    bool built = false;
+    if (entry->mu.TryLock()) {
+      built = entry->calc != nullptr;
+      entry->mu.Unlock();
     }
-    return Response(std::move(response));
-  }
-
-  if (std::get_if<MatrixRequest>(&request) != nullptr) {
-    const StatePairs pairs = AllUnorderedPairs(num_states);
-    const std::vector<double> values =
-        EvaluatePairs(*session, entry.get(), key_prefix, pairs, first);
-    MatrixResponse response;
-    response.name = base.name;
-    response.num_states = num_states;
-    response.values.assign(
-        static_cast<size_t>(num_states) * static_cast<size_t>(num_states),
-        0.0);
-    for (size_t k = 0; k < pairs.size(); ++k) {
-      const auto [a, b] = pairs[k];
-      response.values[static_cast<size_t>(a) * num_states + b] = values[k];
-      response.values[static_cast<size_t>(b) * num_states + a] = values[k];
+    hit = built && results_.GetAll(keys, &values);
+    if (hit) {
+      // What GetCalculator counts on a found calculator.
+      obs_.calc_hits->Add(1);
+      it->second.last_used = ++calc_ticks_;
     }
-    return Response(std::move(response));
   }
-
-  // anomalies: the shared Section 6.2 scoring pipeline (the same
-  // ScoreAdjacentDistances the CLI uses) over cache-served distances.
-  const StatePairs pairs = AdjacentPairs(num_states);
-  const std::vector<double> distances =
-      EvaluatePairs(*session, entry.get(), key_prefix, pairs, first);
-  const std::vector<double> scores =
-      ScoreAdjacentDistances(distances, session->states, nullptr);
-  std::vector<size_t> order(scores.size());
-  std::iota(order.begin(), order.end(), size_t{0});
-  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    return scores[a] != scores[b] ? scores[a] > scores[b] : a < b;
-  });
-  AnomaliesResponse response;
-  response.name = base.name;
-  for (const size_t t : order) {
-    response.transitions.push_back(
-        static_cast<int32_t>(first + static_cast<int64_t>(t)));
-    response.scores.push_back(scores[t]);
-  }
-  return Response(std::move(response));
+  calc_mu_.Unlock();
+  if (!hit) return std::nullopt;
+  trace->graph_epoch = session->graph_epoch;
+  trace->sub_epoch = session->graph_sub_epoch;
+  trace->states_epoch = session->states_epoch;
+  trace->result_hits += static_cast<int64_t>(pairs->size());
+  return ComputeResponse(request, base.name, *session, *pairs, values);
 }
 
 StatusOr<Response> SndService::InfoCmd() {
@@ -1160,19 +1243,23 @@ StatusOr<SndService::SubscribeOutcome> SndService::Subscribe(
     const SubscribeRequest& request,
     const std::function<void(int64_t from)>& on_start,
     const std::function<bool(const SubscribeEvent&)>& on_event) {
-  // One trace (and one JSONL event) per stream: its dispatch span is
-  // the stream's whole lifetime — including waits — and its work deltas
-  // are everything computed on behalf of this subscriber.
   obs::RequestTrace trace;
-  BeginTrace(&trace);
+  trace.start = std::chrono::steady_clock::now();
+  return SubscribeTraced(&trace, request, on_start, on_event);
+}
+
+StatusOr<SndService::SubscribeOutcome> SndService::SubscribeTraced(
+    obs::RequestTrace* trace, const SubscribeRequest& request,
+    const std::function<void(int64_t from)>& on_start,
+    const std::function<bool(const SubscribeEvent&)>& on_event) {
   obs_.subscribe_streams->Add(1);
   const StatusOr<SubscribeOutcome> outcome = [&] {
-    const obs::TraceScope scope(&trace);
+    const obs::TraceScope scope(trace);
     const obs::ObsSpan span(obs::ObsPhase::kDispatch);
     return SubscribeInner(request, on_start, on_event);
   }();
   if (outcome.ok()) obs_.subscribe_events->Add(outcome->delivered);
-  FinishTrace(trace, kSubscribeKindIndex, request.name, outcome.status());
+  FinishTrace(*trace, kSubscribeKindIndex, request.name, outcome.status());
   return outcome;
 }
 
@@ -1263,9 +1350,7 @@ StatusOr<SndService::SubscribeOutcome> SndService::SubscribeInner(
           const std::shared_ptr<CalcEntry> entry = GetCalculator(
               request.name, *session, request.options, signature);
           const std::string key_prefix =
-              request.name + "|g" + std::to_string(session->graph_epoch) +
-              "|s" + std::to_string(session->states_epoch) + "|" +
-              signature + "|";
+              ResultKeyPrefix(request.name, *session, signature);
           while (static_cast<int64_t>(batch.size()) < kMaxBatch &&
                  next + 1 < window_first + resident &&
                  (request.count == 0 ||
@@ -1362,37 +1447,35 @@ bool SkipWireLine(std::string_view line, WireFormat format) {
   return format == WireFormat::kText && line[start] == '#';
 }
 
-SndService::LineReply SndService::ServeLine(
-    const std::string& line, WireFormat format,
-    std::optional<SubscribeRequest>* subscribe) {
-  // The one wire pipeline: one trace covers parse, dispatch and encode,
-  // so the line's event carries the codec time the typed Dispatch (which
-  // never sees wire bytes) cannot.
-  obs::RequestTrace trace;
-  BeginTrace(&trace);
-  const obs::TraceScope scope(&trace);
-  const bool text = format == WireFormat::kText;
-  StatusOr<Request> request = [&] {
-    const obs::ObsSpan span(obs::ObsPhase::kParse);
-    return text ? ParseTextRequest(line) : ParseJsonRequest(line);
-  }();
-  if (subscribe != nullptr && request.ok() &&
-      std::holds_alternative<SubscribeRequest>(*request)) {
-    // Subscribe traces the whole stream itself (one event per stream);
-    // this trace is abandoned un-emitted so the line is not counted
-    // twice.
-    *subscribe = std::get<SubscribeRequest>(std::move(*request));
-    return LineReply();
-  }
+SndService::ParsedLine::ParsedLine(const std::string& line,
+                                   WireFormat format)
+    : format_(format), request_(ParseTraced(line, format, &trace_)) {}
+
+std::unique_ptr<SndService::ParsedLine> SndService::ParseWire(
+    const std::string& line, WireFormat format) {
+  return std::unique_ptr<ParsedLine>(new ParsedLine(line, format));
+}
+
+SndService::LineReply SndService::AnswerLine(ParsedLine* line) {
+  // One trace covers parse, dispatch and encode, so the line's event
+  // carries the codec time the typed Dispatch (which never sees wire
+  // bytes) cannot.
   const StatusOr<Response> response = [&]() -> StatusOr<Response> {
-    if (!request.ok()) return request.status();
+    if (!line->request_.ok()) return line->request_.status();
+    const obs::TraceScope scope(&line->trace_);
     const obs::ObsSpan span(obs::ObsPhase::kDispatch);
-    return DispatchInner(*request);
+    return DispatchInner(*line->request_);
   }();
+  return EncodeLine(line, response);
+}
+
+SndService::LineReply SndService::EncodeLine(
+    ParsedLine* line, const StatusOr<Response>& response) {
   LineReply reply;
   {
+    const obs::TraceScope scope(&line->trace_);
     const obs::ObsSpan span(obs::ObsPhase::kEncode);
-    if (text) {
+    if (line->format_ == WireFormat::kText) {
       reply.text = response.ok() ? RenderTextResponse(*response)
                                  : RenderTextError(response.status());
     } else {
@@ -1401,7 +1484,9 @@ SndService::LineReply SndService::ServeLine(
       reply.json += '\n';
     }
   }
-  FinishTrace(trace, request.ok() ? request->index() : kInvalidKindIndex,
+  const StatusOr<Request>& request = line->request_;
+  FinishTrace(line->trace_,
+              request.ok() ? request->index() : kInvalidKindIndex,
               request.ok() ? RequestSessionName(*request) : std::string(),
               response.status());
   reply.close =
@@ -1409,26 +1494,64 @@ SndService::LineReply SndService::ServeLine(
   return reply;
 }
 
+SndService::WireReply SndService::ToWire(LineReply reply,
+                                         WireFormat format) {
+  WireReply wire;
+  wire.close = reply.close;
+  if (format == WireFormat::kText) {
+    AppendTextResponse(reply.text, &wire.bytes);
+  } else {
+    wire.bytes = std::move(reply.json);
+  }
+  return wire;
+}
+
 ServiceResponse SndService::Call(const std::string& request) {
-  return ServeLine(request, WireFormat::kText, nullptr).text;
+  ParsedLine line(request, WireFormat::kText);
+  return AnswerLine(&line).text;
 }
 
 SndService::WireReply SndService::CallWire(const std::string& line,
                                            WireFormat format) {
-  LineReply line_reply = ServeLine(line, format, nullptr);
-  WireReply reply;
-  reply.close = line_reply.close;
-  if (format == WireFormat::kText) {
-    std::ostringstream out;
-    WriteTextResponse(line_reply.text, out);
-    reply.bytes = out.str();
-  } else {
-    reply.bytes = std::move(line_reply.json);
-  }
-  return reply;
+  ParsedLine parsed(line, format);
+  return ToWire(AnswerLine(&parsed), format);
 }
 
-void SndService::ServeSubscribe(const SubscribeRequest& request,
+SndService::WireReply SndService::CallWire(ParsedLine* line) {
+  // Restart the latency clock so it counts the parse and this answer,
+  // not the wait in between (a dispatch queue, on the epoll tier).
+  line->trace_.start =
+      std::chrono::steady_clock::now() -
+      std::chrono::nanoseconds(line->trace_.phase_ns[static_cast<int>(
+          obs::ObsPhase::kParse)].load(std::memory_order_relaxed));
+  return ToWire(AnswerLine(line), line->format_);
+}
+
+std::optional<SndService::WireReply> SndService::TryServeCached(
+    ParsedLine* line) {
+  if (!line->request_.ok()) return std::nullopt;
+  const Request& request = *line->request_;
+  const ComputeRequestBase* base = ComputeReadBase(request);
+  // --threads swaps the global pool under the writer lock.
+  if (base == nullptr || base->threads > 0) return std::nullopt;
+  const auto dispatch_start = std::chrono::steady_clock::now();
+  if (!session_mu_.TryLockShared()) return std::nullopt;
+  std::optional<Response> response =
+      ProbeCachedLocked(request, *base, &line->trace_);
+  session_mu_.UnlockShared();
+  if (!response.has_value()) return std::nullopt;
+  // The dispatch span, added only now: a declined probe leaves the
+  // trace untouched.
+  line->trace_.phase_ns[static_cast<int>(obs::ObsPhase::kDispatch)]
+      .fetch_add(std::chrono::duration_cast<std::chrono::nanoseconds>(
+                     std::chrono::steady_clock::now() - dispatch_start)
+                     .count(),
+                 std::memory_order_relaxed);
+  return ToWire(EncodeLine(line, *std::move(response)), line->format_);
+}
+
+void SndService::ServeSubscribe(obs::RequestTrace* trace,
+                                const SubscribeRequest& request,
                                 std::ostream& out, WireFormat format) {
   // Framing: the text header deliberately does NOT end in "rows <n>" or
   // "count <n>" — subscribe is the one open-ended response, delimited
@@ -1464,7 +1587,7 @@ void SndService::ServeSubscribe(const SubscribeRequest& request,
     return static_cast<bool>(out);
   };
   const StatusOr<SubscribeOutcome> outcome =
-      Subscribe(request, on_start, on_event);
+      SubscribeTraced(trace, request, on_start, on_event);
   if (!outcome.ok()) {
     if (format == WireFormat::kText) {
       WriteTextResponse(RenderTextError(outcome.status()), out);
@@ -1491,12 +1614,16 @@ void SndService::ServeStream(std::istream& in, std::ostream& out,
   while (std::getline(in, line)) {
     if (!line.empty() && line.back() == '\r') line.pop_back();
     if (SkipWireLine(line, format)) continue;
-    std::optional<SubscribeRequest> subscribe;
-    const LineReply reply = ServeLine(line, format, &subscribe);
-    if (subscribe.has_value()) {
-      ServeSubscribe(*subscribe, out, format);
+    // A subscribe line streams under the trace it was parsed in.
+    ParsedLine parsed(line, format);
+    if (parsed.request_.ok() &&
+        std::holds_alternative<SubscribeRequest>(*parsed.request_)) {
+      ServeSubscribe(&parsed.trace_,
+                     std::get<SubscribeRequest>(*parsed.request_), out,
+                     format);
       continue;
     }
+    const LineReply reply = AnswerLine(&parsed);
     if (format == WireFormat::kText) {
       WriteTextResponse(reply.text, out);
     } else {

@@ -34,6 +34,9 @@
 //    during compute). Concurrent readers missing the same cold pair may
 //    both compute it; both arrive at the bitwise-identical value
 //    (compute is deterministic), so the cache stays consistent.
+//  * TryServeCached answers a read whose every pair is cached with
+//    try-locks only, so an event-loop thread can call it without ever
+//    waiting behind a writer or a calculator build.
 //  * File I/O (load_graph / load_states) happens before the writer lock
 //    is taken, so a slow disk never stalls readers.
 //
@@ -154,17 +157,54 @@ class SndService {
   // included), byte-identical to what ServeStream would have written
   // for the same line; `close` is set by `quit`, mirroring ServeStream
   // returning after `bye`. This is the entry point for frame-at-a-time
-  // transports (the epoll net tier), which cannot hand the service a
-  // blocking istream. The caller drops the lines SkipWireLine matches
-  // first. Streaming `subscribe` is the one line with no finite reply;
-  // it gets the typed failed_precondition, which is exactly the wire
-  // behavior here. Thread-safe, traced like Call (parse, dispatch
-  // and encode spans all covered).
+  // transports, which cannot hand the service a blocking istream; the
+  // epoll tier uses the ParsedLine form below. The caller drops the
+  // lines SkipWireLine matches first. Streaming `subscribe` is the one
+  // line with no finite reply; it gets the typed failed_precondition,
+  // which is exactly the wire behavior here. Thread-safe, traced like
+  // Call (parse, dispatch and encode spans all covered).
   struct WireReply {
     std::string bytes;
     bool close = false;
   };
   WireReply CallWire(const std::string& line, WireFormat format);
+
+  // One wire line parsed under its own trace and not yet answered. The
+  // epoll tier parses each line once, on the loop thread that read it,
+  // then answers it there (TryServeCached) or on a dispatch worker
+  // (CallWire), under the same trace either way. Answer a line once.
+  class ParsedLine {
+   public:
+    ParsedLine(const ParsedLine&) = delete;
+    ParsedLine& operator=(const ParsedLine&) = delete;
+
+   private:
+    friend class SndService;
+    ParsedLine(const std::string& line, WireFormat format);
+
+    const WireFormat format_;
+    obs::RequestTrace trace_;
+    StatusOr<Request> request_;
+  };
+
+  // Parses `line` in `format` under a fresh trace. Thread-safe.
+  std::unique_ptr<ParsedLine> ParseWire(const std::string& line,
+                                        WireFormat format);
+
+  // Answers `line` now when it is a distance, series, matrix or
+  // anomalies read without --threads, the session lock can be had
+  // without waiting, its calculator is already built, and every pair it
+  // reads is already in the result cache. Otherwise returns nullopt and
+  // leaves every counter, trace field and cache order as if it had not
+  // run, for CallWire to answer the line. Never waits on the session
+  // lock or a calculator's lock, so the epoll loop thread may call it;
+  // the result cache's internal lock is short and never held across
+  // compute. Thread-safe.
+  std::optional<WireReply> TryServeCached(ParsedLine* line);
+
+  // Answers a parsed line, blocking as any request may. The request
+  // latency leaves out the wait since ParseWire. Thread-safe.
+  WireReply CallWire(ParsedLine* line);
 
   // One streamed adjacent-SND value: SND(state t, state t+1) by global
   // transition index t, stamped with the epochs it was computed under
@@ -216,6 +256,9 @@ class SndService {
   obs::MetricsRegistry& metrics_registry() { return obs_registry_; }
 
  private:
+  // Lets tests hold session_mu_ to make TryServeCached decline.
+  friend class SndServiceTestPeer;
+
   // A resident calculator and its cross-request edge-cost cache, keyed
   // by (graph name, graph epoch, options signature). Held by shared_ptr
   // so table eviction cannot free an entry another thread is computing
@@ -301,18 +344,16 @@ class SndService {
   // resolves the handle struct; called once from the constructor.
   static ObsMetrics RegisterObsMetrics(obs::MetricsRegistry* registry);
 
-  // Stamps a fresh trace id and the start time. The caller installs the
-  // trace with an obs::TraceScope for the request's duration.
-  void BeginTrace(obs::RequestTrace* trace);
-
   // Request epilogue, called exactly once per traced request after the
   // work is done (and before the response is returned): folds the
   // trace's phase/work deltas into the registry — so any later stats
   // snapshot sees requests only in full, a consistent cut at request
   // boundaries — records the latency, bumps the kind/outcome counters,
   // and (when config_.event_log is set) emits the request's JSONL
-  // event. `kind_index` is the Request variant index, or
-  // kInvalidKindIndex for unparseable wire lines.
+  // event under the next trace id. Ids are drawn here, not when the
+  // trace starts, so a line parsed but never answered (a frame shed at
+  // --max-inflight) leaves no gap in them. `kind_index` is the Request
+  // variant index, or kInvalidKindIndex for unparseable wire lines.
   void FinishTrace(const obs::RequestTrace& trace, size_t kind_index,
                    std::string name, const Status& status);
 
@@ -350,6 +391,16 @@ class SndService {
   // exclusive) session lock.
   StatusOr<Response> ComputeLocked(const Request& request,
                                    const ComputeRequestBase& base)
+      SND_REQUIRES_SHARED(session_mu_);
+
+  // TryServeCached's probe: the response ComputeLocked would give when
+  // the calculator is built and every pair is cached, found with
+  // try-locks only; nullopt (with no effect at all) otherwise. On
+  // success it counts the calculator hit and the result hits and stamps
+  // `trace` exactly as ComputeLocked would.
+  std::optional<Response> ProbeCachedLocked(const Request& request,
+                                            const ComputeRequestBase& base,
+                                            obs::RequestTrace* trace)
       SND_REQUIRES_SHARED(session_mu_);
 
   // The calculator for (session, options), built on first use. Locks
@@ -407,17 +458,24 @@ class SndService {
   void PurgeGraphArtifacts(const std::string& name)
       SND_REQUIRES(session_mu_);
 
-  // The pre-observability Subscribe body; the public Subscribe wraps it
-  // in a whole-stream trace (one JSONL event per stream, emitted when
-  // it ends, accounting every value the stream computed).
+  // Subscribe under `trace`, started by the caller: one trace (and one
+  // JSONL event) per stream, emitted when it ends, accounting every
+  // value the stream computed. Its dispatch span is the stream's whole
+  // lifetime, waits included.
+  StatusOr<SubscribeOutcome> SubscribeTraced(
+      obs::RequestTrace* trace, const SubscribeRequest& request,
+      const std::function<void(int64_t from)>& on_start,
+      const std::function<bool(const SubscribeEvent&)>& on_event);
+
+  // The pre-observability Subscribe body, run inside SubscribeTraced.
   StatusOr<SubscribeOutcome> SubscribeInner(
       const SubscribeRequest& request,
       const std::function<void(int64_t from)>& on_start,
       const std::function<bool(const SubscribeEvent&)>& on_event);
 
-  // One wire line's reply from ServeLine: `text` on the text codec,
-  // `json` (the '\n'-terminated reply line) on the JSON codec. `close`
-  // is set by `quit` on both.
+  // One wire line's reply: `text` on the text codec, `json` (the
+  // '\n'-terminated reply line) on the JSON codec. `close` is set by
+  // `quit` on both.
   struct LineReply {
     ServiceResponse text;
     std::string json;
@@ -425,18 +483,22 @@ class SndService {
   };
 
   // The one per-line wire pipeline behind Call, CallWire and
-  // ServeStream: parses `line` in `format`, dispatches it and encodes
-  // the reply, all under one trace. With `subscribe` set, a subscribe
-  // line is parsed only: it comes back in `*subscribe`, untraced here
-  // (Subscribe traces the whole stream), and the reply is empty.
-  // Without it, subscribe dispatches to its typed streaming error.
-  LineReply ServeLine(const std::string& line, WireFormat format,
-                      std::optional<SubscribeRequest>* subscribe);
+  // ServeStream, after ParsedLine has parsed the line: dispatches it
+  // and hands the outcome to EncodeLine. Subscribe dispatches to its
+  // typed streaming error here; ServeStream streams it instead.
+  LineReply AnswerLine(ParsedLine* line);
+
+  // Encodes `response` in the line's format and finishes its trace.
+  LineReply EncodeLine(ParsedLine* line, const StatusOr<Response>& response);
+
+  // The wire bytes of `reply` in `format`.
+  static WireReply ToWire(LineReply reply, WireFormat format);
 
   // Streaming body of `subscribe` for ServeStream connections: renders
-  // the header / events / terminator of Subscribe() onto `out` in
-  // `format`, flushing per event.
-  void ServeSubscribe(const SubscribeRequest& request, std::ostream& out,
+  // the header / events / terminator of the stream onto `out` in
+  // `format`, flushing per event, under the line's own trace.
+  void ServeSubscribe(obs::RequestTrace* trace,
+                      const SubscribeRequest& request, std::ostream& out,
                       WireFormat format);
 
   // Bumps change_tick_ and wakes subscribers; called (with no service

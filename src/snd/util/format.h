@@ -11,8 +11,9 @@
 namespace snd {
 
 // Shortest-ish decimal form that round-trips every finite double
-// exactly: %.17g. strtod(FormatDouble(x)) == x bitwise (tested). For
-// finite values the output is also a valid JSON number.
+// exactly: printf's %.17g, byte for byte. strtod(FormatDouble(x)) == x
+// bitwise (both tested). For finite values the output is also a valid
+// JSON number.
 std::string FormatDouble(double value);
 
 }  // namespace snd

@@ -64,6 +64,11 @@ class SND_CAPABILITY("shared_mutex") SharedMutex {
   void Unlock() SND_RELEASE() { mu_.unlock(); }
   void LockShared() SND_ACQUIRE_SHARED() { mu_.lock_shared(); }
   void UnlockShared() SND_RELEASE_SHARED() { mu_.unlock_shared(); }
+  // Takes the shared lock if it can be had without waiting; never
+  // blocks.
+  bool TryLockShared() SND_TRY_ACQUIRE_SHARED(true) {
+    return mu_.try_lock_shared();
+  }
 
  private:
   std::shared_mutex mu_;

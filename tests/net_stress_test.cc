@@ -18,8 +18,10 @@ TEST(NetStressTest, RequiresLinux) {
 #else  // defined(__linux__)
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -27,6 +29,7 @@ TEST(NetStressTest, RequiresLinux) {
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <memory>
 #include <mutex>
 #include <sstream>
@@ -36,6 +39,7 @@ TEST(NetStressTest, RequiresLinux) {
 #include "snd/graph/generators.h"
 #include "snd/graph/io.h"
 #include "snd/net/net_server.h"
+#include "snd/obs/event_log.h"
 #include "snd/obs/metrics.h"
 #include "snd/obs/names.h"
 #include "snd/opinion/evolution.h"
@@ -44,6 +48,15 @@ TEST(NetStressTest, RequiresLinux) {
 #include "smoke_util.h"
 
 namespace snd {
+
+// Holds the service's session lock, so that TryServeCached declines.
+class SndServiceTestPeer {
+ public:
+  static SharedMutex& SessionMutex(SndService* service) {
+    return service->session_mu_;
+  }
+};
+
 namespace {
 
 using net::NetServer;
@@ -182,15 +195,88 @@ int64_t NetCount(const SndService& service, std::string_view name) {
   return obs::SnapshotValue(service.metrics().Snapshot(), name);
 }
 
-bool WaitForActiveConns(const SndService& service, int64_t want) {
+bool WaitForNetCount(const SndService& service, std::string_view name,
+                     int64_t want) {
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
   while (std::chrono::steady_clock::now() < deadline) {
-    if (NetCount(service, obs::kMetricNetConnsActive) == want) return true;
+    if (NetCount(service, name) == want) return true;
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
   return false;
 }
+
+bool WaitForActiveConns(const SndService& service, int64_t want) {
+  return WaitForNetCount(service, obs::kMetricNetConnsActive, want);
+}
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  return bytes.str();
+}
+
+// Takes a server's only --max-inflight slot and keeps it: a load_graph
+// whose path is a FIFO blocks in open() on a dispatch worker until
+// Release writes the graph into the FIFO. While it blocks, a frame
+// answered at all was answered on the loop thread.
+class SlotBlocker {
+ public:
+  SlotBlocker(const SndService& service, int port, WireFormat format,
+              const std::string& fifo_path, std::string graph_bytes)
+      : fifo_path_(fifo_path), graph_bytes_(std::move(graph_bytes)) {
+    std::remove(fifo_path_.c_str());
+    made_ = ::mkfifo(fifo_path_.c_str(), 0600) == 0;
+    if (!made_) return;
+    const std::string line =
+        format == WireFormat::kText
+            ? "load_graph blocked " + fifo_path_ + "\n"
+            : "{\"cmd\":\"load_graph\",\"name\":\"blocked\",\"path\":\"" +
+                  fifo_path_ + "\"}\n";
+    client_ = std::thread([this, port, line] {
+      ok_ = ScriptedClient::Run(port, line, &reply_, &error_);
+      answered_.store(true);
+    });
+    holding_ = WaitForNetCount(service, obs::kMetricNetInflight, 1);
+  }
+  ~SlotBlocker() { Release(); }
+
+  bool holding() const { return made_ && holding_; }
+
+  // Feeds the graph to the blocked load and waits for its reply.
+  std::string Release() {
+    if (client_.joinable()) {
+      // O_NONBLOCK fails at once while the load has not yet opened the
+      // FIFO for reading, so retry until it has (or has answered).
+      while (!answered_.load()) {
+        const int fd = ::open(fifo_path_.c_str(), O_WRONLY | O_NONBLOCK);
+        if (fd >= 0) {
+          const ssize_t n =
+              ::write(fd, graph_bytes_.data(), graph_bytes_.size());
+          (void)n;
+          ::close(fd);
+          break;
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      client_.join();
+    }
+    std::remove(fifo_path_.c_str());
+    return ok_ ? reply_ : "client error: " + error_;
+  }
+
+ private:
+  const std::string fifo_path_;
+  const std::string graph_bytes_;
+  bool made_ = false;
+  bool holding_ = false;
+  bool ok_ = false;
+  std::atomic<bool> answered_{false};
+  std::string reply_;
+  std::string error_;
+  std::thread client_;
+};
 
 class NetStressTest : public ::testing::Test {
  protected:
@@ -463,8 +549,42 @@ TEST_F(NetStressTest, ShedsPastMaxConnsWithTypedErrorThenRecovers) {
 }
 
 TEST_F(NetStressTest, MaxInflightShedIsTypedAndPerFrame) {
+  // Cache hits are answered on the loop thread and never shed, so every
+  // frame here reads a pair nothing has read before: each one misses
+  // the cache and needs a dispatch slot.
+  constexpr int kHammerClients = 16;
+  constexpr int kRequests = 8;
+  constexpr int kStates = 17;  // 136 pairs >= 16 x 8 distinct ones.
+  const std::string cold_states = SmokeTempPath("net_stress", "cold.txt");
+  {
+    const Graph graph = GenerateRing(16, 2);
+    SyntheticEvolution evolution(&graph, 11);
+    ASSERT_TRUE(WriteStateSeries(
+        evolution.GenerateSeries(kStates, 4, {0.25, 0.05}, {0.25, 0.05}, {}),
+        cold_states));
+  }
+  std::vector<std::pair<int, int>> pairs;
+  for (int i = 0; i < kStates; ++i) {
+    for (int j = i + 1; j < kStates; ++j) pairs.emplace_back(i, j);
+  }
+  auto line_of = [&](int c, int k) {
+    const auto [i, j] = pairs[static_cast<size_t>(c * kRequests + k)];
+    return "distance cold " + std::to_string(i) + " " + std::to_string(j);
+  };
+  // Expected replies from a second service: values are deterministic,
+  // and the serving one must stay cold.
+  SndService reference;
   SndService service;
-  Preload(&service);
+  for (SndService* s : {&reference, &service}) {
+    ASSERT_EQ(s->CallWire("load_graph cold " + graph_path_, WireFormat::kText)
+                  .bytes.rfind("ok graph ", 0),
+              0u);
+    ASSERT_EQ(s->CallWire("load_states cold " + cold_states,
+                          WireFormat::kText)
+                  .bytes.rfind("ok states ", 0),
+              0u);
+  }
+  std::remove(cold_states.c_str());
 
   NetServerConfig config;
   config.shards = 2;
@@ -474,10 +594,6 @@ TEST_F(NetStressTest, MaxInflightShedIsTypedAndPerFrame) {
   ASSERT_TRUE(server.ok()) << server.status().message();
   const int port = (*server)->port();
 
-  constexpr int kHammerClients = 16;
-  constexpr int kRequests = 8;
-  const std::string ok_line =
-      service.CallWire("distance ring-0 0 1", WireFormat::kText).bytes;
   const std::string shed_line = "error server saturated (--max-inflight=1)\n";
   const std::string bye_line = "ok bye\n";
 
@@ -485,10 +601,15 @@ TEST_F(NetStressTest, MaxInflightShedIsTypedAndPerFrame) {
   std::atomic<int64_t> ok_count{0};
   std::vector<std::thread> clients;
   for (int c = 0; c < kHammerClients; ++c) {
-    clients.emplace_back([&, c] {
-      std::string request;
-      for (int k = 0; k < kRequests; ++k) request += "distance ring-0 0 1\n";
-      request += "quit\n";
+    std::vector<std::string> ok_lines;
+    std::string request;
+    for (int k = 0; k < kRequests; ++k) {
+      ok_lines.push_back(
+          reference.CallWire(line_of(c, k), WireFormat::kText).bytes);
+      request += line_of(c, k) + "\n";
+    }
+    request += "quit\n";
+    clients.emplace_back([&, c, request, ok_lines] {
       std::string response, error;
       if (!ScriptedClient::Run(port, request, &response, &error)) {
         failures.Add("client " + std::to_string(c) + ": " + error);
@@ -508,14 +629,15 @@ TEST_F(NetStressTest, MaxInflightShedIsTypedAndPerFrame) {
       for (size_t k = 0; k < lines.size(); ++k) {
         const std::string line = lines[k] + "\n";
         const bool is_last = k + 1 == lines.size();
-        const bool legal = line == shed_line ||
-                           (is_last ? line == bye_line : line == ok_line);
+        const bool legal =
+            line == shed_line || (is_last ? line == bye_line
+                                          : line == ok_lines[k]);
         if (!legal) {
           failures.Add("client " + std::to_string(c) + " line " +
                        std::to_string(k) + " illegal: '" + lines[k] + "'");
           return;
         }
-        if (!is_last && line == ok_line) {
+        if (!is_last && line != shed_line) {
           ok_count.fetch_add(1, std::memory_order_relaxed);
         }
       }
@@ -523,11 +645,226 @@ TEST_F(NetStressTest, MaxInflightShedIsTypedAndPerFrame) {
   }
   for (std::thread& client : clients) client.join();
   failures.Report();
-  // Saturation must not starve the tier outright: some work completes.
+  // Saturation must not starve the tier outright: some work completes,
+  // and some frames really were shed.
   EXPECT_GT(ok_count.load(), 0);
+  EXPECT_GT(NetCount(service, obs::kMetricNetInflightShed), 0);
   EXPECT_EQ(NetCount(service, obs::kMetricNetFrames),
             kHammerClients * (kRequests + 1));
   (*server)->Shutdown();
+}
+
+TEST_F(NetStressTest, CacheHitsTakeNoDispatchSlotOnEitherCodec) {
+  // The one --max-inflight slot stays taken throughout, so any frame
+  // that needed the dispatch pool is shed: a warm read answered with
+  // CallWire's bytes was answered on the loop thread.
+  const std::string graph_bytes = ReadFile(graph_path_);
+  const std::string fifo = SmokeTempPath("net_stress", "graph.fifo");
+  for (const WireFormat format : {WireFormat::kText, WireFormat::kJson}) {
+    const bool text = format == WireFormat::kText;
+    SCOPED_TRACE(text ? "text" : "json");
+    SndService service;
+    Preload(&service);
+    const std::vector<std::string> reads =
+        text ? std::vector<std::string>{"distance ring-0 3 1",
+                                        "series ring-0", "matrix ring-0",
+                                        "anomalies ring-0"}
+             : std::vector<std::string>{
+                   "{\"cmd\":\"distance\",\"name\":\"ring-0\",\"i\":3,"
+                   "\"j\":1}",
+                   "{\"cmd\":\"series\",\"name\":\"ring-0\"}",
+                   "{\"cmd\":\"matrix\",\"name\":\"ring-0\"}",
+                   "{\"cmd\":\"anomalies\",\"name\":\"ring-0\"}"};
+    // ring-1's calculator is built, but this pair is not cached.
+    service.CallWire("distance ring-1 0 1", WireFormat::kText);
+    const std::string cold = text ? "distance ring-1 0 2"
+                                  : "{\"cmd\":\"distance\",\"name\":"
+                                    "\"ring-1\",\"i\":0,\"j\":2}";
+    std::string request;
+    std::string want;
+    for (const std::string& line : reads) {
+      service.CallWire(line, format);  // Warms the pairs.
+      request += line + "\n";
+      want += service.CallWire(line, format).bytes;
+    }
+    request += cold + "\n";
+    want += text ? "error server saturated (--max-inflight=1)\n"
+                 : "{\"ok\":false,\"code\":\"resource_exhausted\","
+                   "\"error\":\"server saturated (--max-inflight=1)\"}\n";
+
+    NetServerConfig config;
+    config.format = format;
+    config.max_inflight = 1;
+    StatusOr<std::unique_ptr<NetServer>> server =
+        NetServer::Start(&service, config);
+    ASSERT_TRUE(server.ok()) << server.status().message();
+    const int port = (*server)->port();
+    SlotBlocker blocker(service, port, format, fifo, graph_bytes);
+    ASSERT_TRUE(blocker.holding());
+
+    const std::string latency_count =
+        std::string(obs::kMetricNetFrameLatency) + ".count";
+    const int64_t frames_before = NetCount(service, latency_count);
+    const int64_t calc_hits_before =
+        NetCount(service, obs::kMetricCacheCalcHits);
+    const int64_t misses_before =
+        NetCount(service, obs::kMetricCacheResultMisses);
+    std::string response, error;
+    ASSERT_TRUE(ScriptedClient::Run(port, request, &response, &error))
+        << error;
+    EXPECT_EQ(response, want);
+    EXPECT_EQ(NetCount(service, obs::kMetricNetInflightShed), 1);
+    // One calculator hit per read; the cold frame's declined probe
+    // counted nothing.
+    EXPECT_EQ(NetCount(service, obs::kMetricCacheCalcHits) - calc_hits_before,
+              static_cast<int64_t>(reads.size()));
+    EXPECT_EQ(NetCount(service, obs::kMetricCacheResultMisses), misses_before);
+    // Frames answered on the loop are timed like dispatched ones.
+    EXPECT_EQ(NetCount(service, latency_count) - frames_before,
+              static_cast<int64_t>(reads.size()));
+    const std::string loaded = blocker.Release();
+    EXPECT_NE(loaded.find("blocked"), std::string::npos) << loaded;
+    EXPECT_EQ(loaded.find("error"), std::string::npos) << loaded;
+    (*server)->Shutdown();
+  }
+}
+
+TEST_F(NetStressTest, DeclinedHitCompletesThroughThePoolWithEqualDeltas) {
+  // The same warm read twice: first answered on the loop thread, then,
+  // while a writer holds the session lock so the loop's probe declines,
+  // through the dispatch pool. Bytes and per-request registry deltas
+  // must agree.
+  SndService service;
+  Preload(&service);
+  const std::string line = "series ring-2";
+  service.CallWire(line, WireFormat::kText);  // Warms the pairs.
+  const std::string want = service.CallWire(line, WireFormat::kText).bytes;
+
+  NetServerConfig config;
+  StatusOr<std::unique_ptr<NetServer>> server =
+      NetServer::Start(&service, config);
+  ASSERT_TRUE(server.ok()) << server.status().message();
+  const int port = (*server)->port();
+
+  const std::vector<std::string> names = {
+      obs::kMetricReqOk,          obs::kMetricCacheResultHits,
+      obs::kMetricCacheResultMisses, obs::kMetricCacheCalcHits,
+      obs::kMetricNetFrames,      obs::kMetricReqSeries};
+  auto counts = [&] {
+    const std::vector<obs::MetricRow> rows = service.metrics().Snapshot();
+    std::vector<int64_t> values;
+    for (const std::string& name : names) {
+      values.push_back(obs::SnapshotValue(rows, name));
+    }
+    return values;
+  };
+  auto delta = [](const std::vector<int64_t>& after,
+                  const std::vector<int64_t>& before) {
+    std::vector<int64_t> d;
+    for (size_t k = 0; k < after.size(); ++k) {
+      d.push_back(after[k] - before[k]);
+    }
+    return d;
+  };
+
+  const std::vector<int64_t> start = counts();
+  std::string inline_reply, error;
+  ASSERT_TRUE(
+      ScriptedClient::Run(port, line + "\n", &inline_reply, &error))
+      << error;
+  const std::vector<int64_t> after_inline = counts();
+  EXPECT_EQ(inline_reply, want);
+
+  std::string pooled_reply;
+  bool pooled_ok = false;
+  bool dispatched = false;
+  {
+    SharedMutex& session_mu = SndServiceTestPeer::SessionMutex(&service);
+    session_mu.Lock();
+    std::thread client([&] {
+      pooled_ok =
+          ScriptedClient::Run(port, line + "\n", &pooled_reply, &error);
+    });
+    // The declined frame waits in the pool for the reader lock.
+    dispatched = WaitForNetCount(service, obs::kMetricNetInflight, 1);
+    session_mu.Unlock();
+    client.join();
+  }
+  ASSERT_TRUE(pooled_ok) << error;
+  EXPECT_TRUE(dispatched);
+  EXPECT_EQ(pooled_reply, want);
+  const std::vector<int64_t> after_pool = counts();
+  const std::vector<int64_t> inline_delta = delta(after_inline, start);
+  EXPECT_EQ(delta(after_pool, after_inline), inline_delta);
+  // ok +1, hits = 3 adjacent pairs, misses 0, calculator hit +1, one
+  // frame, one series request.
+  EXPECT_EQ(inline_delta, (std::vector<int64_t>{1, 3, 0, 1, 1, 1}));
+  (*server)->Shutdown();
+}
+
+TEST_F(NetStressTest, EventIdsStayContiguousAcrossHitMissAndSubscribe) {
+  // Trace ids number the logged events 1, 2, 3, ... whichever path
+  // answered each line: a miss dispatched to the pool, a hit answered
+  // on the loop, and a subscribe streamed under its own line's trace.
+  std::ostringstream sink;
+  std::vector<std::string> kinds;
+  {
+    obs::EventLog log(&sink);
+    SndServiceConfig service_config;
+    service_config.event_log = &log;
+    SndService service(service_config);
+    Preload(&service);
+    StatusOr<std::unique_ptr<NetServer>> server =
+        NetServer::Start(&service, NetServerConfig());
+    ASSERT_TRUE(server.ok()) << server.status().message();
+    std::string response, error;
+    ASSERT_TRUE(ScriptedClient::Run(
+        (*server)->port(), "distance ring-0 0 2\ndistance ring-0 0 2\n",
+        &response, &error))
+        << error;
+    std::istringstream in("subscribe ring-0 --from=0 --count=2\n"
+                          "distance ring-0 0 2\n");
+    std::ostringstream out;
+    service.ServeStream(in, out, WireFormat::kText);
+    ASSERT_NE(out.str().find("ok subscribe_end ring-0 count 2"),
+              std::string::npos)
+        << out.str();
+    response.clear();
+    ASSERT_TRUE(ScriptedClient::Run((*server)->port(),
+                                    "distance ring-0 2 0\n", &response,
+                                    &error))
+        << error;
+    (*server)->Shutdown();
+    log.Flush();
+    EXPECT_EQ(log.dropped(), 0);
+  }
+  std::istringstream events(sink.str());
+  std::string event;
+  uint64_t want_id = 1;
+  int64_t subscribe_parse_ns = -1;
+  while (std::getline(events, event)) {
+    const std::string id_key = "\"trace_id\":";
+    const size_t at = event.find(id_key);
+    ASSERT_NE(at, std::string::npos) << event;
+    EXPECT_EQ(std::stoull(event.substr(at + id_key.size())), want_id)
+        << event;
+    ++want_id;
+    const std::string kind_key = "\"kind\":\"";
+    const size_t kind_at = event.find(kind_key) + kind_key.size();
+    kinds.push_back(event.substr(kind_at, event.find('"', kind_at) - kind_at));
+    if (kinds.back() == "subscribe") {
+      const std::string parse_key = "\"parse_ns\":";
+      subscribe_parse_ns = std::stoll(
+          event.substr(event.find(parse_key) + parse_key.size()));
+    }
+  }
+  // 16 preload lines, then the four reads and the subscribe.
+  ASSERT_EQ(kinds.size(), 2u * kGraphs + 5);
+  EXPECT_EQ(std::vector<std::string>(kinds.end() - 5, kinds.end()),
+            (std::vector<std::string>{"distance", "distance", "subscribe",
+                                      "distance", "distance"}));
+  // The subscribe event carries its line's parse time.
+  EXPECT_GT(subscribe_parse_ns, 0);
 }
 
 TEST_F(NetStressTest, OversizeRequestLineShedsWithTypedError) {

@@ -495,6 +495,29 @@ TEST(ResultCacheTest, PutRefreshesExistingKeys) {
   EXPECT_EQ(counters.hits.Value(), 1);
 }
 
+TEST(ResultCacheTest, GetAllIsAllOrNothing) {
+  CacheCounters counters;
+  ResultCache cache(3, counters.sinks());
+  cache.Put("a", 1.0);
+  cache.Put("b", 2.0);
+  cache.Put("c", 3.0);  // LRU order, oldest first: a, b, c.
+  std::vector<double> values;
+  // One key missing: no value, no count, no touch.
+  EXPECT_FALSE(cache.GetAll({"a", "x"}, &values));
+  EXPECT_EQ(counters.hits.Value(), 0);
+  EXPECT_EQ(counters.misses.Value(), 0);
+  cache.Put("d", 4.0);  // Still evicts "a", the untouched LRU.
+  EXPECT_EQ(counters.evictions.Value(), 1);
+  // All resident: values in key order, one hit and one touch each.
+  ASSERT_TRUE(cache.GetAll({"c", "b"}, &values));
+  EXPECT_EQ(values, (std::vector<double>{3.0, 2.0}));
+  EXPECT_EQ(counters.hits.Value(), 2);
+  cache.Put("e", 5.0);  // "d" is now the LRU.
+  EXPECT_FALSE(cache.Get("d").has_value());
+  EXPECT_EQ(cache.Get("b"), 2.0);
+  EXPECT_EQ(cache.Get("c"), 3.0);
+}
+
 // The calculator and result caches are keyed on SndOptionsSignature, so
 // every knob that can move a value must move the signature, and nothing
 // else may.

@@ -7,6 +7,7 @@
 #include <cfloat>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
@@ -55,6 +56,36 @@ TEST(FormatDoubleTest, RandomBitPatternsRoundTrip) {
   // carries.
   std::uniform_real_distribution<double> dist(-1e6, 1e6);
   for (int k = 0; k < 20000; ++k) ExpectRoundTrip(dist(rng));
+}
+
+TEST(FormatDoubleTest, PrintsExactlyWhatPrintfPrints) {
+  // Every reply byte and cache key carrying a double depends on this
+  // text, so it must stay printf's %.17g, NaN and infinities included.
+  auto expect_printf = [](double value) {
+    char want[64];
+    std::snprintf(want, sizeof(want), "%.17g", value);
+    EXPECT_EQ(FormatDouble(value), want);
+  };
+  for (const double value :
+       {0.0, -0.0, 1.0, 0.1, 1e16, 1e17, 123456789012345678.0, DBL_MIN,
+        DBL_MAX, 4.9406564584124654e-324,
+        std::numeric_limits<double>::infinity(),
+        -std::numeric_limits<double>::infinity(),
+        std::numeric_limits<double>::quiet_NaN()}) {
+    expect_printf(value);
+  }
+  std::mt19937_64 rng(20261019);
+  for (int k = 0; k < 20000; ++k) {
+    const uint64_t bits = rng();
+    double value;
+    std::memcpy(&value, &bits, sizeof(value));
+    expect_printf(value);
+  }
+  std::uniform_real_distribution<double> dist(0.0, 1e6);
+  for (int k = 0; k < 20000; ++k) {
+    expect_printf(dist(rng));
+    expect_printf(std::round(dist(rng)) / 60.0);
+  }
 }
 
 TEST(FormatDoubleTest, IntegralValuesPrintWithoutExponentNoise) {

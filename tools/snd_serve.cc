@@ -26,8 +26,9 @@
 //                      loop, byte-for-byte the historical wire behavior
 //                      including streaming `subscribe`.
 //   --shards=N         epoll mode: worker event loops that own the
-//                      connections (default 1); one dispatch pool of
-//                      2 x N threads runs every request
+//                      connections and answer result-cache hits
+//                      (default 1); one dispatch pool of 2 x N threads
+//                      runs every other request
 //   --max-conns=N      admission bound on open connections (default
 //                      256; 0 = unbounded). epoll mode sheds with a
 //                      typed resource_exhausted line; thread mode
@@ -35,7 +36,8 @@
 //   --max-inflight=N   epoll mode: bound on dispatches in flight
 //                      process-wide; excess requests are answered
 //                      resource_exhausted instead of queueing
-//                      (default 0 = unbounded)
+//                      (default 0 = unbounded). Cache hits answered on
+//                      the event loop take no slot and are never shed
 //   --format=text|json wire format (default text)
 //   --cache=N          result-LRU capacity in entries (default 65536)
 //   --retain=N         keep only the newest N states per session (N >= 2;
@@ -93,7 +95,8 @@ constexpr char kUsage[] =
     "                     dispatch threads (default 1)\n"
     "  --max-conns=N      open-connection bound (default 256; 0 = off)\n"
     "  --max-inflight=N   epoll mode: in-flight dispatch bound\n"
-    "                     (default 0 = off)\n"
+    "                     (default 0 = off); cache hits answered on\n"
+    "                     the event loop take no slot, never shed\n"
     "  --format=text|json wire format (default text)\n"
     "  --cache=N          result-LRU capacity in entries (default 65536)\n"
     "  --retain=N         keep only the newest N states per session\n"
