@@ -8,8 +8,8 @@
 // searches per term: linearly at first, then flat once the changed users
 // outnumber the bank bins (past n_delta of about 600 at reduced scale).
 // The `searches` column lists the four terms' search counts, and
-// `passes` the engine passes that ran them: 16-lane DialLaneEngine
-// batches plus single searches.
+// `passes` the engine passes that ran them: DialLaneEngine sweeps of up
+// to 32 int16 lanes plus single searches.
 //
 // The calculator runs its SSSPs serially, as the paper's timings do, so
 // the figures do not depend on the machine's core count. Per-layer times

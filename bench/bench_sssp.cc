@@ -4,9 +4,9 @@
 // delta-stepping vs the kAuto resolution, swept over the edge-cost bound
 // U to locate the crossover, plus a U x n delta-stepping sweep, the
 // target-pruned vs full-search speedup that the reduced SND
-// transportation problem exploits, and the multi-lane Dial batch that
-// runs 16 of a term's searches in one bucket sweep. Every engine runs
-// one search on one thread, so the pool size does not enter.
+// transportation problem exploits, and the multi-lane Dial sweep that
+// runs up to 32 of a term's searches at once on int16 lanes. Every
+// engine runs on one thread, so the pool size does not enter.
 //
 // Emits BENCH_METRIC lines (scraped into the bench-all JSON) that
 // tools/check_perf_budget.py compares against bench/budgets.json:
@@ -15,9 +15,12 @@
 //   sssp.speedup.dial.n{n}.u{U}              Dijkstra ms / Dial ms
 //   sssp.speedup.pruned.{backend}.k{k}       full ms / pruned ms with k
 //                                            targets
-//   sssp.speedup.lanes16.n{n}.u{U}           16 DialEngine searches ms /
-//                                            one 16-lane DialLaneEngine
-//                                            batch ms, same sources
+//   sssp.speedup.lanes32.n{n}.u{U}           32 DialEngine searches ms /
+//                                            one 32-lane DialLaneEngine
+//                                            sweep ms, same sources
+//   sssp.lanes.sweep_per_pruned.k{k}         one k-lane sweep ms / one
+//                                            64-target pruned DialEngine
+//                                            search ms (U=33)
 #include <cstdio>
 #include <memory>
 #include <vector>
@@ -207,8 +210,8 @@ int main() {
         dial_pruned > 0 ? dial_full / dial_pruned : 0.0);
   }
 
-  // 16 full searches as one DialLaneEngine batch vs one at a time with
-  // DialEngine, at the SND default model's U (33). The batch scans each
+  // 32 full searches as one DialLaneEngine sweep vs one at a time with
+  // DialEngine, at the SND default model's U (33). The sweep scans each
   // node's arcs once for all lanes in 16-byte vector words; a build that
   // lowers those words to scalar code runs it slower than the singles.
   const int32_t lanes_u = 33;
@@ -217,15 +220,17 @@ int main() {
   snd::DialEngine single(n, lanes_u);
   snd::DialLaneEngine lanes(n, lanes_u);
   const int32_t rounds = 4;
+  std::vector<int32_t> nodes(kLanes);
+  std::vector<std::span<const int32_t>> lane_sources;
+  for (const int32_t& node : nodes) lane_sources.emplace_back(&node, 1);
+  auto draw_nodes = [&] {
+    for (int32_t& node : nodes) {
+      node = static_cast<int32_t>(rng.UniformInt(0, n - 1));
+    }
+  };
   double singles_ms = 0.0, batch_ms = 0.0;
   for (int32_t r = 0; r < rounds; ++r) {
-    std::vector<int32_t> nodes(kLanes);
-    std::vector<std::span<const int32_t>> lane_sources;
-    for (int32_t l = 0; l < kLanes; ++l) {
-      nodes[static_cast<size_t>(l)] =
-          static_cast<int32_t>(rng.UniformInt(0, n - 1));
-    }
-    for (const int32_t& node : nodes) lane_sources.emplace_back(&node, 1);
+    draw_nodes();
     snd::Stopwatch single_watch;
     for (const int32_t node : nodes) {
       const snd::SsspSource source{node, 0};
@@ -242,15 +247,50 @@ int main() {
     sink ^= lanes.Distance(kLanes - 1, n - 1);
   }
   if (batch_ms > 0) {
-    std::snprintf(name, sizeof(name), "sssp.speedup.lanes16.n%d.u%d", n,
+    std::snprintf(name, sizeof(name), "sssp.speedup.lanes32.n%d.u%d", n,
                   lanes_u);
     snd::bench::PrintMetric(name, singles_ms / batch_ms);
   }
   std::printf(
-      "16-lane batch vs 16 dial searches (U=%d, %d rounds): %.3f -> %.3f "
+      "\n32-lane sweep vs 32 dial searches (U=%d, %d rounds): %.3f -> %.3f "
       "ms (x%.2f)\n",
       lanes_u, rounds, singles_ms / rounds, batch_ms / rounds,
       batch_ms > 0 ? singles_ms / batch_ms : 0.0);
+
+  // What a k-lane sweep costs in target-pruned single searches, the
+  // alternative SndCalculator weighs it against: a term's searches each
+  // settle the opposite side of its reduced problem (64 random targets
+  // here). A sweep pays off once it carries more lanes than this ratio.
+  std::vector<int32_t> term_targets;
+  for (int32_t k = 0; k < 64; ++k) {
+    term_targets.push_back(static_cast<int32_t>(rng.UniformInt(0, n - 1)));
+  }
+  const double pruned_ms =
+      TimePruned(&single, lanes_instance, term_targets, searches, &sink);
+  snd::TablePrinter sweeps({"lanes", "sweep ms", "pruned searches"});
+  for (const int32_t k : {1, 4, 8, 16, 32}) {
+    double sweep_ms = 0.0;
+    for (int32_t r = 0; r < rounds; ++r) {
+      draw_nodes();
+      snd::Stopwatch watch;
+      lanes.Run(lanes_instance.graph, lanes_instance.costs,
+                std::span(lane_sources.data(), static_cast<size_t>(k)));
+      sweep_ms += watch.ElapsedMillis();
+      sink ^= lanes.Distance(k - 1, n - 1);
+    }
+    sweep_ms /= rounds;
+    const double ratio = pruned_ms > 0 ? sweep_ms / pruned_ms : 0.0;
+    std::snprintf(name, sizeof(name), "sssp.lanes.sweep_per_pruned.k%d", k);
+    snd::bench::PrintMetric(name, ratio);
+    sweeps.AddRow({snd::TablePrinter::Fmt(static_cast<int64_t>(k)),
+                   snd::TablePrinter::Fmt(sweep_ms, 3),
+                   snd::TablePrinter::Fmt(ratio, 2)});
+  }
+  std::printf(
+      "\nk-lane sweep in 64-target pruned dial searches (U=%d, one "
+      "pruned search %.3f ms)\n",
+      lanes_u, pruned_ms);
+  sweeps.Print();
 
   std::printf("\nchecksum: %lld\n", static_cast<long long>(sink));
   std::printf("total time: %.3f s\n", total.ElapsedSeconds());

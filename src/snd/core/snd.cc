@@ -755,34 +755,40 @@ SndTermResult SndCalculator::ComputeTermFast(const TermSpec& spec,
     }
   };
 
-  // The searches run in passes: 16-lane DialLaneEngine batches, then one
-  // target-pruned search per leftover origin. A term batches only when
-  // every lane it fans out over (the pool's threads for a top-level
-  // single pair, one inside a batch or on a one-thread pool) gets at
-  // least one full batch. A final partial batch runs when at least half
-  // full: on the Fig 12 network a batch costs about as much as 6.2 single
-  // searches with 16 lanes, 5.5 with 8 and 2.5 with 1.
+  // The searches run in passes: DialLaneEngine sweeps of `width` lanes,
+  // then one target-pruned search per leftover origin. A k-lane sweep
+  // costs as much as 2.2-3.1, 3.4-5.3, 7.2-8.0, 7.2-9.4 and 9.6-11.3
+  // single 64-target pruned searches for k = 1, 4, 8, 16 and 32
+  // (bench_sssp sssp.lanes.sweep_per_pruned, U=33, three release runs on
+  // a 4-vCPU VM), so a sweep pays from about 8 lanes. The term fans out
+  // over `fan` lanes (the pool's threads for a top-level single pair, one
+  // inside a batch or on a one-thread pool), so each sweep carries
+  // origins / fan searches, at most kMaxLanes, and runs only when that
+  // is at least 8; a leftover of at least 8 origins takes one more sweep.
   ThreadPool& pool = ThreadPool::Global();
   const bool fan_out = options_.parallel_sssp && num_origins > 1 &&
                        pool.num_threads() > 1 &&
                        !ThreadPool::InParallelRegion();
   const size_t fan = fan_out ? static_cast<size_t>(pool.num_threads()) : 1;
-  constexpr size_t kLanes = DialLaneEngine::kMaxLanes;
+  constexpr size_t kMinLanes = 8;
+  const size_t width = std::min<size_t>(DialLaneEngine::kMaxLanes,
+                                        num_origins / fan);
   size_t num_batches = 0;
-  if (batch_searches_ && num_origins >= kLanes * fan) {
-    num_batches = num_origins / kLanes +
-                  (num_origins % kLanes >= kLanes / 2 ? 1 : 0);
+  if (batch_searches_ && width >= kMinLanes) {
+    num_batches = num_origins / width +
+                  (num_origins % width >= kMinLanes ? 1 : 0);
   }
-  const size_t batched = std::min(num_origins, num_batches * kLanes);
+  const size_t batched = std::min(num_origins, num_batches * width);
   const size_t num_passes = num_batches + (num_origins - batched);
   result.num_searches = static_cast<int32_t>(num_origins);
   result.num_passes = static_cast<int32_t>(num_passes);
 
   auto run_pass = [&](size_t pass, TermScratch* scratch) {
     if (pass < num_batches) {
-      const size_t first = pass * kLanes;
-      const size_t count = std::min(kLanes, num_origins - first);
-      std::array<std::span<const int32_t>, kLanes> lane_sources;
+      const size_t first = pass * width;
+      const size_t count = std::min(width, num_origins - first);
+      std::array<std::span<const int32_t>, DialLaneEngine::kMaxLanes>
+          lane_sources;
       for (size_t l = 0; l < count; ++l) {
         lane_sources[l] = origin_sources(first + l);
       }

@@ -15,9 +15,9 @@
 //                         changed user, or one per bank-side bin and
 //                         active bank cluster) to build exactly the ground
 //                         distances it needs; with the Dial backend the
-//                         searches run 16 at a time in DialLaneEngine
-//                         batches. Time O(n_delta * (m + n log n) +
-//                         transport(n_delta)).
+//                         searches run up to 32 at a time in
+//                         DialLaneEngine sweeps. Time
+//                         O(n_delta * (m + n log n) + transport(n_delta)).
 //  * ComputeReference() - the direct dense computation (all-pairs ground
 //                         distance + full EMD*), used for validation and
 //                         as the Fig. 11 direct-solver baseline. The two
@@ -65,8 +65,9 @@ struct SndTermResult {
   // Shortest-path searches the term ran: min(plain-side bins, bank-side
   // bins + active bank clusters) - see ComputeTermFast.
   int32_t num_searches = 0;
-  // Engine passes that ran them: 16-lane batches plus single searches
-  // (equal to num_searches when the term does not batch).
+  // Engine passes that ran them: DialLaneEngine sweeps of up to 32 lanes
+  // plus single searches (equal to num_searches when the term does not
+  // batch).
   int32_t num_passes = 0;
 };
 
@@ -238,7 +239,8 @@ class SndCalculator {
   // by MakeEngine() against the calculator's resolved backend; `sources`
   // holds one search's seeds (a bin, or every member of a bank cluster),
   // whichever side of the term the search starts from. `lanes` (128 B per
-  // node) is created by the first batched pass that runs on this scratch.
+  // node on int16 lanes) is created by the first batched pass that runs
+  // on this scratch.
   struct TermScratch {
     explicit TermScratch(const SndCalculator& calc);
     ~TermScratch();

@@ -64,9 +64,9 @@ struct SndOptions {
   // MaxEdgeCost() (Assumption 2's U) is small relative to the graph size,
   // sequential delta-stepping outside that regime on large graphs,
   // binary-heap Dijkstra otherwise (ResolveSsspBackend). With
-  // Dial, terms with enough origins run their searches 16 at a time
-  // through DialLaneEngine. SND values are bitwise identical for every
-  // choice.
+  // Dial, terms with enough origins run their searches up to 32 at a
+  // time through DialLaneEngine. SND values are bitwise identical for
+  // every choice.
   SsspBackend sssp_backend = SsspBackend::kAuto;
 
   BankStrategy bank_strategy = BankStrategy::kPerBin;

@@ -51,7 +51,7 @@ struct RequestTrace {
   // Written from any thread running on behalf of this request.
   std::atomic<int64_t> phase_ns[kNumObsPhases] = {};
   // Calculator-level work (the snd.work.* rows): searches for term and
-  // reference-matrix rows (a 16-lane batch counts 16), transportation
+  // reference-matrix rows (a k-lane sweep counts k), transportation
   // problems solved, and per-(state, opinion) edge costings built by the
   // model or patched across a graph mutation. Searches a model runs
   // while costing edges count as edge-cost builds, not sssp_runs.

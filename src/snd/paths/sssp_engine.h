@@ -23,9 +23,10 @@
 // target bitmap are allocated once and recycled across Run calls, so the
 // back-to-back searches of the fast SND path allocate nothing.
 //
-// Beside the interface, DialLaneEngine (paths/dial_lanes.h) runs up to 16
-// full Dial searches in one bucket sweep, one per 32-bit SIMD lane of
-// each node's distance row; the SND fast path batches a term's searches
+// Beside the interface, DialLaneEngine (paths/dial_lanes.h) runs up to 32
+// full Dial searches in one bucket sweep, one per 16-bit SIMD lane of
+// each node's distance row (rerun on 32-bit lanes when a distance
+// outgrows 16 bits); the SND fast path batches a term's searches
 // through it when the backend is Dial. Every engine run reports its
 // settled-node count to the obs trace (paths.settled_per_run is settled
 // nodes over engine runs): for the single-source engines that is the

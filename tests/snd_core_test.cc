@@ -391,17 +391,17 @@ TEST(SndCalculatorTest, SearchesFromTheSideWithFewerOrigins) {
   EXPECT_EQ(reported, expected);
   EXPECT_EQ(expected, 7 + 4 + 7 + 4);
   for (const SndTermResult& term : result.terms) {
-    // Fewer than 16 origins: one search per origin, no batch.
+    // Fewer than 8 origins: one search per origin, no sweep.
     EXPECT_EQ(term.num_passes, term.num_searches);
   }
   EXPECT_NEAR(result.value, calc.ComputeReference(a, b).value,
               1e-9 * (1.0 + result.value));
 }
 
-// Terms with at least 16 origins per fan-out lane run their searches in
-// 16-lane DialLaneEngine batches: full batches, then a final batch when
-// at least 8 origins remain, else one search per leftover origin. The
-// lanes hold exact integer distances, so no value may move.
+// Terms with at least 8 origins per fan-out lane run their searches in
+// DialLaneEngine sweeps of up to 32 lanes: full sweeps, then a final
+// sweep when at least 8 origins remain, else one search per leftover
+// origin. The lanes hold exact integer distances, so no value may move.
 struct BatchedCase {
   const char* name;
   BankStrategy banks;
@@ -413,8 +413,10 @@ struct BatchedCase {
 
 // Passes of a term searched serially from `origins` origins.
 int32_t SerialPasses(int32_t origins) {
-  const int32_t tail = origins % 16;
-  return origins / 16 + (tail >= 8 ? 1 : tail);
+  if (origins < 8) return origins;
+  const int32_t width = std::min(origins, 32);
+  const int32_t tail = origins % width;
+  return origins / width + (tail >= 8 ? 1 : tail);
 }
 
 TEST(SndCalculatorTest, BatchedSearchesKeepValuesBitwise) {
@@ -457,10 +459,10 @@ TEST(SndCalculatorTest, BatchedSearchesKeepValuesBitwise) {
       const SndTermResult& term = result.terms[k];
       EXPECT_EQ(term.cost, c.terms[k])
           << "term " << k << ": " << std::hexfloat << term.cost;
-      EXPECT_GE(term.num_searches, 16) << "term " << k;
+      EXPECT_GE(term.num_searches, 32) << "term " << k;
       EXPECT_EQ(term.num_passes, SerialPasses(term.num_searches))
           << "term " << k;
-      const int32_t tail = term.num_searches % 16;
+      const int32_t tail = term.num_searches % 32;
       batched_tail = batched_tail || tail >= 8;
       single_tail = single_tail || (tail > 0 && tail < 8);
       searches += term.num_searches;

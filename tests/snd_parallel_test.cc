@@ -98,9 +98,9 @@ TEST_F(SndParallelTest, BankSideSearchesAreBitwiseIdenticalAcrossThreadCounts) {
 }
 
 // MakeBatchingCase's terms search from 50-92 origins. At one thread
-// every term runs 16-lane batches; at four, only terms with at least 64
-// origins (16 per fan-out lane) do, and the rest search per origin on
-// the pool; BatchDistances (one pair per lane) batches every term again.
+// every term runs 32-lane sweeps; at four, every term has at least 8
+// origins per fan-out lane and runs one narrower sweep per lane on the
+// pool; BatchDistances (one pair per lane) runs 32-lane sweeps again.
 TEST_F(SndParallelTest, BatchedSearchesAreBitwiseIdenticalAcrossThreadCounts) {
   for (const bool directed : {false, true}) {
     const testing_util::BatchingCase input =
@@ -130,25 +130,27 @@ TEST_F(SndParallelTest, BatchedSearchesAreBitwiseIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST_F(SndParallelTest, TermsBelowSixteenOriginsPerFanOutLaneSearchPerOrigin) {
+TEST_F(SndParallelTest, TermsBelowEightOriginsPerFanOutLaneSearchPerOrigin) {
   const testing_util::BatchingCase input =
       testing_util::MakeBatchingCase(/*directed=*/false);
-  ThreadPool::SetGlobalThreads(4);
-  // Per-cluster banks: 50 and 58 origins, under 4 lanes x 16.
+  ThreadPool::SetGlobalThreads(8);
+  // Per-cluster banks: 50 and 58 origins, under 8 lanes x 8.
   SndOptions options;
   options.bank_strategy = BankStrategy::kPerCluster;
   options.banks_per_cluster = 2;
   const SndCalculator clustered(&input.graph, options);
   for (const SndTermResult& term : clustered.Compute(input.a, input.b).terms) {
-    EXPECT_LT(term.num_searches, 4 * 16);
+    EXPECT_LT(term.num_searches, 8 * 8);
     EXPECT_EQ(term.num_passes, term.num_searches);
   }
-  // Per-bin banks: 73 and 88 origins, enough for every lane.
+  // Per-bin banks: 73 and 88 origins, enough for every lane: one sweep
+  // of origins / 8 lanes per fan-out lane, plus one search per leftover.
   options.bank_strategy = BankStrategy::kPerBin;
   const SndCalculator per_bin(&input.graph, options);
   for (const SndTermResult& term : per_bin.Compute(input.a, input.b).terms) {
-    EXPECT_GE(term.num_searches, 4 * 16);
-    EXPECT_LT(term.num_passes, term.num_searches);
+    EXPECT_GE(term.num_searches, 8 * 8);
+    const int32_t width = term.num_searches / 8;
+    EXPECT_EQ(term.num_passes, 8 + term.num_searches % width);
   }
   // Only the Dial backend batches.
   ThreadPool::SetGlobalThreads(1);

@@ -362,14 +362,19 @@ std::vector<int32_t> CostsWithZeros(const Graph& g, int32_t max_cost,
 }
 
 // Runs `lanes` over `sources` (one entry per lane) and checks every lane
-// against a full DialEngine search from the same sources.
-void ExpectLanesMatchDial(DialLaneEngine* lanes, const Graph& g,
-                          const std::vector<int32_t>& costs,
-                          const std::vector<std::vector<int32_t>>& sources,
-                          const std::string& label) {
+// against a full DialEngine search from the same sources. Returns the
+// Dial engine runs that lanes->Run recorded.
+int64_t ExpectLanesMatchDial(DialLaneEngine* lanes, const Graph& g,
+                             const std::vector<int32_t>& costs,
+                             const std::vector<std::vector<int32_t>>& sources,
+                             const std::string& label) {
   std::vector<std::span<const int32_t>> lane_sources(sources.begin(),
                                                      sources.end());
-  lanes->Run(g, costs, lane_sources);
+  obs::RequestTrace trace;
+  {
+    const obs::TraceScope scope(&trace);
+    lanes->Run(g, costs, lane_sources);
+  }
   DialEngine reference(g.num_nodes(), lanes->max_cost());
   for (size_t lane = 0; lane < sources.size(); ++lane) {
     std::vector<SsspSource> seeds;
@@ -377,11 +382,13 @@ void ExpectLanesMatchDial(DialLaneEngine* lanes, const Graph& g,
     const auto expected =
         reference.Run(g, costs, seeds, SsspGoal::AllNodes());
     for (int32_t v = 0; v < g.num_nodes(); ++v) {
-      ASSERT_EQ(lanes->Distance(static_cast<int>(lane), v),
-                expected[static_cast<size_t>(v)])
+      const int64_t got = lanes->Distance(static_cast<int>(lane), v);
+      EXPECT_EQ(got, expected[static_cast<size_t>(v)])
           << label << " lane=" << lane << " v=" << v;
+      if (got != expected[static_cast<size_t>(v)]) return -1;
     }
   }
+  return trace.backend_runs[obs::kSsspSlotDial].load();
 }
 
 std::vector<std::vector<int32_t>> SingleSourceLanes(int32_t num_lanes,
@@ -404,8 +411,9 @@ TEST(DialLaneEngineTest, LanesFitBoundary) {
 }
 
 TEST(DialLaneEngineTest, EveryLaneCountMatchesDialPerLane) {
-  for (const int32_t num_lanes : {1, 7, 8, 15, 16}) {
-    for (int trial = 0; trial < 4; ++trial) {
+  for (int32_t num_lanes = 1; num_lanes <= DialLaneEngine::kMaxLanes;
+       ++num_lanes) {
+    for (int trial = 0; trial < 2; ++trial) {
       Rng rng(7100 + static_cast<uint64_t>(100 * num_lanes + trial));
       const int32_t n = 50 + static_cast<int32_t>(rng.UniformInt(0, 250));
       // Random directed arcs: parts of the graph are unreachable from
@@ -477,6 +485,99 @@ TEST(DialLaneEngineTest, OneEngineServesGraphsAndCostBuffersInTurn) {
       ExpectLanesMatchDial(&lanes, *g, costs,
                            SingleSourceLanes(num_lanes, n, &rng),
                            "round=" + std::to_string(round));
+    }
+  }
+}
+
+// A path 0 - 1 - ... - (n-1), both directions at `cost`, plus eight
+// one-way chords at `cost` that skip up to 8 nodes ahead: node n-1 lies
+// at least (n - 65) * cost from node 0.
+struct LongPath {
+  Graph graph;
+  std::vector<int32_t> costs;
+};
+
+LongPath MakeLongPath(int32_t n, int32_t cost, Rng* rng) {
+  std::vector<Edge> edges;
+  for (int32_t v = 0; v + 1 < n; ++v) {
+    edges.push_back({v, v + 1});
+    edges.push_back({v + 1, v});
+  }
+  for (int k = 0; k < 8; ++k) {
+    const auto from = static_cast<int32_t>(rng->UniformInt(0, n - 10));
+    edges.push_back({from, from + 2 + static_cast<int32_t>(
+                                          rng->UniformInt(0, 7))});
+  }
+  LongPath path{Graph::FromEdges(n, edges), {}};
+  path.costs.assign(static_cast<size_t>(path.graph.num_edges()), cost);
+  return path;
+}
+
+TEST(DialLaneEngineTest, DistancesPastTheInt16RangeRerunOnInt32Lanes) {
+  // 600 nodes at cost 33: node 599 lies at least 17655 from node 0, past
+  // the abort key 2^14 - 66 = 16318, so the int16 sweep aborts mid-way and
+  // the same lanes rerun on int32. Lane 0 always starts at node 0; the
+  // other lanes start anywhere.
+  Rng rng(7401);
+  const LongPath path = MakeLongPath(600, 33, &rng);
+  for (int32_t num_lanes = 1; num_lanes <= DialLaneEngine::kMaxLanes;
+       ++num_lanes) {
+    std::vector<std::vector<int32_t>> sources =
+        SingleSourceLanes(num_lanes, 600, &rng);
+    sources[0] = {0};
+    DialLaneEngine lanes(600, 33);
+    // The aborted int16 sweep and its int32 rerun are one run each.
+    EXPECT_EQ(ExpectLanesMatchDial(&lanes, path.graph, path.costs, sources,
+                                   "lanes=" + std::to_string(num_lanes)),
+              2);
+    // The engine stays on int32: the next run goes there directly.
+    EXPECT_EQ(ExpectLanesMatchDial(&lanes, path.graph, path.costs, sources,
+                                   "again lanes=" + std::to_string(num_lanes)),
+              1);
+  }
+}
+
+TEST(DialLaneEngineTest, NarrowRunAfterAnInt32RunOnOneEngine) {
+  // The first run crosses the int16 range; later runs whose distances
+  // would fit int16 lanes run on int32 and stay bitwise exact.
+  Rng rng(7501);
+  const int32_t n = 600;
+  const LongPath path = MakeLongPath(n, 33, &rng);
+  const Graph dense = RandomDirectedGraph(n, 6 * n, &rng);
+  DialLaneEngine lanes(n, 33);
+  std::vector<std::vector<int32_t>> sources =
+      SingleSourceLanes(DialLaneEngine::kMaxLanes, n, &rng);
+  sources[0] = {0};
+  EXPECT_EQ(
+      ExpectLanesMatchDial(&lanes, path.graph, path.costs, sources, "long"),
+      2);
+  for (int round = 0; round < 3; ++round) {
+    const auto costs = CostsWithZeros(dense, 33, &rng);
+    EXPECT_EQ(ExpectLanesMatchDial(&lanes, dense, costs,
+                                   SingleSourceLanes(1 + 10 * round, n, &rng),
+                                   "narrow round=" + std::to_string(round)),
+              1);
+  }
+}
+
+TEST(DialLaneEngineTest, CostBoundPastTheInt16RangeStartsOnInt32) {
+  // 2U >= 2^14 leaves the int16 lanes no room: every run is one int32
+  // sweep, for short and long distances alike. U = 8191 still starts on
+  // int16 lanes, whose abort key 2^14 - 2U = 2 ends the first run at once.
+  for (const int32_t max_cost : {8191, 8192, 20000}) {
+    Rng rng(7601 + static_cast<uint64_t>(max_cost));
+    const int32_t n = 200;
+    const Graph g = RandomDirectedGraph(n, 4 * n, &rng);
+    DialLaneEngine lanes(n, max_cost);
+    int64_t runs = max_cost == 8191 ? 2 : 1;
+    for (const int32_t num_lanes : {1, 17, DialLaneEngine::kMaxLanes}) {
+      const auto costs = CostsWithZeros(g, max_cost, &rng);
+      EXPECT_EQ(ExpectLanesMatchDial(&lanes, g, costs,
+                                     SingleSourceLanes(num_lanes, n, &rng),
+                                     "U=" + std::to_string(max_cost) +
+                                         " lanes=" + std::to_string(num_lanes)),
+                runs);
+      runs = 1;
     }
   }
 }

@@ -94,7 +94,7 @@ inline std::pair<NetworkState, NetworkState> SkewedStates(int32_t n,
 
 // A 600-node graph (symmetric, or thinned one arc at a time to make
 // distances asymmetric) and two random states whose EMD* terms each
-// search from 50-92 origins: enough for 16-lane batched searches, with
+// search from 50-92 origins: enough for 32-lane sweeps, with
 // leftover tails of both >= 8 and < 8 origins.
 struct BatchingCase {
   Graph graph;
