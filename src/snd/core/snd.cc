@@ -398,14 +398,12 @@ SndResult SndCalculator::Compute(const NetworkState& a,
   SndResult result;
   result.n_delta = NetworkState::CountDiffering(a, b);
   const auto specs = MakeTermSpecs(a, b);
-  std::unique_ptr<TermScratch> scratch = TakeScratch();
-  TermContext ctx;
-  ctx.scratch = scratch.get();
-  for (size_t k = 0; k < specs.size(); ++k) {
-    result.terms[k] = ComputeTermFast(specs[k], ctx);
-    result.value += result.terms[k].cost;
-  }
-  ReturnScratch(std::move(scratch));
+  RunTermJobs(static_cast<int64_t>(specs.size()),
+              [&](int64_t t, TermScratch* scratch) {
+                result.terms[static_cast<size_t>(t)] = ComputeTermFast(
+                    specs[static_cast<size_t>(t)], TermContext{}, scratch);
+              });
+  for (const SndTermResult& term : result.terms) result.value += term.cost;
   result.value *= 0.5;
   result.total_seconds = watch.ElapsedSeconds();
   return result;
@@ -437,36 +435,48 @@ std::vector<double> SndCalculator::BatchDistances(
   std::vector<double> values(pairs.size(), 0.0);
   if (pairs.empty()) return values;
 
+  // One job per (pair, term); each pair's four costs are then summed in
+  // spec order, as Compute() sums them, so every value is bitwise
+  // identical to Compute() regardless of the thread count.
+  constexpr size_t kTerms = 4;
+  std::vector<double> costs(pairs.size() * kTerms);
+  RunTermJobs(static_cast<int64_t>(costs.size()),
+              [&](int64_t job, TermScratch* scratch) {
+                const auto [i, j] = pairs[static_cast<size_t>(job) / kTerms];
+                const size_t t = static_cast<size_t>(job) % kTerms;
+                const auto specs =
+                    MakeTermSpecs(states[static_cast<size_t>(i)],
+                                  states[static_cast<size_t>(j)]);
+                TermContext ctx;
+                ctx.cache = cache;
+                ctx.distance_state_index = specs[t].forward ? i : j;
+                costs[static_cast<size_t>(job)] =
+                    ComputeTermFast(specs[t], ctx, scratch).cost;
+              });
+  for (size_t k = 0; k < pairs.size(); ++k) {
+    double value = 0.0;
+    for (size_t t = 0; t < kTerms; ++t) value += costs[k * kTerms + t];
+    values[k] = 0.5 * value;
+  }
+  return values;
+}
+
+void SndCalculator::RunTermJobs(
+    int64_t num_jobs,
+    const std::function<void(int64_t, TermScratch*)>& job) const {
   ThreadPool& pool = ThreadPool::Global();
   // Per-lane scratch, taken on first use so only the lanes that actually
   // run hold an O(n) workspace.
   std::vector<std::unique_ptr<TermScratch>> scratch(
       static_cast<size_t>(pool.num_threads()));
-  // One job per pair; the four terms of a pair evaluate serially in spec
-  // order on one lane, so the summation order (and hence the value) is
-  // bitwise identical to Compute() regardless of the thread count.
-  pool.ParallelFor(
-      static_cast<int64_t>(pairs.size()), [&](int64_t k, int32_t slot) {
-        std::unique_ptr<TermScratch>& lane = scratch[static_cast<size_t>(slot)];
-        if (lane == nullptr) lane = TakeScratch();
-        const auto [i, j] = pairs[static_cast<size_t>(k)];
-        const auto specs = MakeTermSpecs(states[static_cast<size_t>(i)],
-                                         states[static_cast<size_t>(j)]);
-        const std::array<int32_t, 4> distance_index = {i, i, j, j};
-        double value = 0.0;
-        for (size_t t = 0; t < specs.size(); ++t) {
-          TermContext ctx;
-          ctx.cache = cache;
-          ctx.distance_state_index = distance_index[t];
-          ctx.scratch = lane.get();
-          value += ComputeTermFast(specs[t], ctx).cost;
-        }
-        values[static_cast<size_t>(k)] = 0.5 * value;
-      });
+  pool.ParallelFor(num_jobs, [&](int64_t k, int32_t slot) {
+    std::unique_ptr<TermScratch>& lane = scratch[static_cast<size_t>(slot)];
+    if (lane == nullptr) lane = TakeScratch();
+    job(k, lane.get());
+  });
   for (std::unique_ptr<TermScratch>& lane : scratch) {
     ReturnScratch(std::move(lane));
   }
-  return values;
 }
 
 DenseMatrix SndCalculator::PairwiseDistanceMatrix(
@@ -538,8 +548,7 @@ DenseMatrix SndCalculator::GroundDistanceMatrix(const NetworkState& state,
     }
   };
   ThreadPool& pool = ThreadPool::Global();
-  if (options_.parallel_sssp && n > 1 && pool.num_threads() > 1 &&
-      !ThreadPool::InParallelRegion()) {
+  if (n > 1 && pool.num_threads() > 1 && !ThreadPool::InParallelRegion()) {
     std::vector<std::unique_ptr<SsspEngine>> engines(
         static_cast<size_t>(pool.num_threads()));
     pool.ParallelFor(n, [&](int64_t u, int32_t slot) {
@@ -569,7 +578,8 @@ SndTermResult SndCalculator::ComputeTermReference(const TermSpec& spec) const {
 }
 
 SndTermResult SndCalculator::ComputeTermFast(const TermSpec& spec,
-                                             const TermContext& ctx) const {
+                                             const TermContext& ctx,
+                                             TermScratch* scratch) const {
   SndTermResult result;
   result.op = spec.op;
   result.forward = spec.forward;
@@ -724,7 +734,7 @@ SndTermResult SndCalculator::ComputeTermFast(const TermSpec& spec,
   };
   // Fills origin o's rows or columns of `cost` from its distances
   // dist_at(node).
-  auto write_origin = [&](size_t o, auto&& dist_at, TermScratch* scratch) {
+  auto write_origin = [&](size_t o, auto&& dist_at) {
     if (!from_bank_side) {
       cluster_minimum(dist_at, &scratch->cluster_min);
       for (size_t y = 0; y < paired.size(); ++y) {
@@ -755,102 +765,62 @@ SndTermResult SndCalculator::ComputeTermFast(const TermSpec& spec,
     }
   };
 
-  // The searches run in passes: DialLaneEngine sweeps of `width` lanes,
-  // then one target-pruned search per leftover origin. A k-lane sweep
-  // costs as much as 2.2-3.1, 3.4-5.3, 7.2-8.0, 7.2-9.4 and 9.6-11.3
-  // single 64-target pruned searches for k = 1, 4, 8, 16 and 32
-  // (bench_sssp sssp.lanes.sweep_per_pruned, U=33, three release runs on
-  // a 4-vCPU VM), so a sweep pays from about 8 lanes. The term fans out
-  // over `fan` lanes (the pool's threads for a top-level single pair, one
-  // inside a batch or on a one-thread pool), so each sweep carries
-  // origins / fan searches, at most kMaxLanes, and runs only when that
+  // The searches run in passes on this job's scratch: DialLaneEngine
+  // sweeps of `width` lanes, then one target-pruned search per leftover
+  // origin. A k-lane sweep costs as much as 2.2-3.1, 3.4-5.3, 7.2-8.0,
+  // 7.2-9.4 and 9.6-11.3 single 64-target pruned searches for k = 1, 4,
+  // 8, 16 and 32 (bench_sssp sssp.lanes.sweep_per_pruned, U=33, three
+  // release runs on a 4-vCPU VM), so a sweep pays from about 8 lanes.
+  // Each sweep carries min(32, origins) searches and runs only when that
   // is at least 8; a leftover of at least 8 origins takes one more sweep.
-  ThreadPool& pool = ThreadPool::Global();
-  const bool fan_out = options_.parallel_sssp && num_origins > 1 &&
-                       pool.num_threads() > 1 &&
-                       !ThreadPool::InParallelRegion();
-  const size_t fan = fan_out ? static_cast<size_t>(pool.num_threads()) : 1;
+  // A term is one pool job (RunTermJobs), so the plan does not depend on
+  // the thread count, and every pass writes only its own origins' rows
+  // or columns of `cost`.
   constexpr size_t kMinLanes = 8;
-  const size_t width = std::min<size_t>(DialLaneEngine::kMaxLanes,
-                                        num_origins / fan);
+  const size_t width =
+      std::min<size_t>(DialLaneEngine::kMaxLanes, num_origins);
   size_t num_batches = 0;
   if (batch_searches_ && width >= kMinLanes) {
     num_batches = num_origins / width +
                   (num_origins % width >= kMinLanes ? 1 : 0);
   }
   const size_t batched = std::min(num_origins, num_batches * width);
-  const size_t num_passes = num_batches + (num_origins - batched);
   result.num_searches = static_cast<int32_t>(num_origins);
-  result.num_passes = static_cast<int32_t>(num_passes);
+  result.num_passes =
+      static_cast<int32_t>(num_batches + (num_origins - batched));
 
-  auto run_pass = [&](size_t pass, TermScratch* scratch) {
-    if (pass < num_batches) {
-      const size_t first = pass * width;
-      const size_t count = std::min(width, num_origins - first);
-      std::array<std::span<const int32_t>, DialLaneEngine::kMaxLanes>
-          lane_sources;
-      for (size_t l = 0; l < count; ++l) {
-        lane_sources[l] = origin_sources(first + l);
-      }
-      if (scratch->lanes == nullptr) {
-        scratch->lanes = std::make_unique<DialLaneEngine>(
-            graph_->num_nodes(), model_->MaxEdgeCost());
-      }
-      DialLaneEngine& lanes = *scratch->lanes;
-      obs::TraceCountSsspRun(static_cast<int64_t>(count));
-      lanes.Run(search_graph, *search_costs,
-                std::span(lane_sources.data(), count));
-      for (size_t l = 0; l < count; ++l) {
-        auto dist_at = [&](int32_t node) {
-          return lanes.Distance(static_cast<int>(l), node);
-        };
-        write_origin(first + l, dist_at, scratch);
-      }
-      return;
+  for (size_t pass = 0; pass < num_batches; ++pass) {
+    const size_t first = pass * width;
+    const size_t count = std::min(width, num_origins - first);
+    std::array<std::span<const int32_t>, DialLaneEngine::kMaxLanes>
+        lane_sources;
+    for (size_t l = 0; l < count; ++l) {
+      lane_sources[l] = origin_sources(first + l);
     }
-    const size_t o = batched + (pass - num_batches);
+    if (scratch->lanes == nullptr) {
+      scratch->lanes = std::make_unique<DialLaneEngine>(
+          graph_->num_nodes(), model_->MaxEdgeCost());
+    }
+    DialLaneEngine& lanes = *scratch->lanes;
+    obs::TraceCountSsspRun(static_cast<int64_t>(count));
+    lanes.Run(search_graph, *search_costs,
+              std::span(lane_sources.data(), count));
+    for (size_t l = 0; l < count; ++l) {
+      write_origin(first + l, [&](int32_t node) {
+        return lanes.Distance(static_cast<int>(l), node);
+      });
+    }
+  }
+  for (size_t o = batched; o < num_origins; ++o) {
     std::vector<SsspSource>& sources = scratch->sources;
     sources.clear();
     for (int32_t node : origin_sources(o)) sources.push_back({node, 0});
     obs::TraceCountSsspRun();
     const std::span<const int64_t> dist =
         scratch->engine->Run(search_graph, *search_costs, sources, goal);
-    auto dist_at = [&](int32_t node) {
+    write_origin(o, [&](int32_t node) {
       return dist[static_cast<size_t>(node)];
-    };
-    write_origin(o, dist_at, scratch);
-  };
-
-  // The passes are independent, so top-level single-pair computations fan
-  // them out on the shared pool with one scratch per lane; inside a batch
-  // (already parallel over pairs) or with a single-thread pool they run
-  // serially on the provided (or a local) scratch. Either way every pass
-  // writes only its own origins' rows or columns of `cost`, keeping
-  // results bitwise identical across thread counts.
-  if (fan_out) {
-    // Per-lane scratch, taken on first use so a term with fewer passes
-    // than lanes does not hold workspaces that never run.
-    std::vector<std::unique_ptr<TermScratch>> scratch(
-        static_cast<size_t>(pool.num_threads()));
-    const auto passes = static_cast<int64_t>(num_passes);
-    pool.ParallelFor(passes, [&](int64_t pass, int32_t slot) {
-      std::unique_ptr<TermScratch>& lane = scratch[static_cast<size_t>(slot)];
-      if (lane == nullptr) lane = TakeScratch();
-      run_pass(static_cast<size_t>(pass), lane.get());
     });
-    for (std::unique_ptr<TermScratch>& lane : scratch) {
-      ReturnScratch(std::move(lane));
-    }
-  } else if (ctx.scratch != nullptr) {
-    for (size_t pass = 0; pass < num_passes; ++pass) {
-      run_pass(pass, ctx.scratch);
-    }
-  } else {
-    std::unique_ptr<TermScratch> local = TakeScratch();
-    for (size_t pass = 0; pass < num_passes; ++pass) {
-      run_pass(pass, local.get());
-    }
-    ReturnScratch(std::move(local));
   }
   const TransportProblem problem(std::move(supply), std::move(demand),
                                  std::move(cost));

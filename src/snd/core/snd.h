@@ -16,23 +16,28 @@
 //                         active bank cluster) to build exactly the ground
 //                         distances it needs; with the Dial backend the
 //                         searches run up to 32 at a time in
-//                         DialLaneEngine sweeps. Time
+//                         DialLaneEngine sweeps. The four terms run
+//                         concurrently, one pool job each. Time
 //                         O(n_delta * (m + n log n) + transport(n_delta)).
 //  * ComputeReference() - the direct dense computation (all-pairs ground
 //                         distance + full EMD*), used for validation and
 //                         as the Fig. 11 direct-solver baseline. The two
 //                         paths agree exactly; tests enforce this.
 //
-// Batch evaluation (anomaly series, ROC sweeps, pairwise clustering) runs
-// through PairwiseDistanceMatrix / AdjacentDistanceSeries / BatchDistances,
-// which parallelize over state pairs on the shared thread pool and cache
-// the per-(state, opinion) edge costs and reversed-cost buffers across
-// terms and pairs. All parallel paths are deterministic: results are
+// The unit of parallel work is one (pair, term) evaluation: Compute runs
+// its four terms as concurrent jobs on the shared thread pool, and batch
+// evaluation (anomaly series, ROC sweeps, pairwise clustering) through
+// PairwiseDistanceMatrix / AdjacentDistanceSeries / BatchDistances runs
+// pairs x 4 such jobs, caching the per-(state, opinion) edge costs and
+// reversed-cost buffers across terms and pairs. A term runs its searches
+// serially on its job's scratch, so its pass plan does not depend on the
+// thread count. All parallel paths are deterministic: results are
 // bitwise identical for any thread count.
 #ifndef SND_CORE_SND_H_
 #define SND_CORE_SND_H_
 
 #include <array>
+#include <functional>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -90,18 +95,19 @@ class SndCalculator {
   SndCalculator(const SndCalculator&) = delete;
   SndCalculator& operator=(const SndCalculator&) = delete;
 
-  // Fast Theorem-4 computation of SND(a, b).
+  // Fast Theorem-4 computation of SND(a, b): the four terms run as
+  // concurrent jobs on the shared thread pool (at most four threads).
   SndResult Compute(const NetworkState& a, const NetworkState& b) const;
 
   // Convenience: Compute(a, b).value.
   double Distance(const NetworkState& a, const NetworkState& b) const;
 
   // Batch engine: SND values for every (i, j) in `pairs` (indices into
-  // `states`), evaluated in parallel on the shared thread pool with the
-  // per-(state, opinion) edge costs and reversed-cost buffers computed
-  // once and shared across all terms and pairs. result[k] corresponds to
-  // pairs[k]; values are bitwise identical to Distance(states[i],
-  // states[j]) for any thread count.
+  // `states`), evaluated as pairs x 4 term jobs on the shared thread pool
+  // with the per-(state, opinion) edge costs and reversed-cost buffers
+  // computed once and shared across all terms and pairs. result[k]
+  // corresponds to pairs[k]; values are bitwise identical to
+  // Distance(states[i], states[j]) for any thread count.
   std::vector<double> BatchDistances(const std::vector<NetworkState>& states,
                                      const StatePairs& pairs) const;
 
@@ -234,8 +240,8 @@ class SndCalculator {
     bool forward;
   };
 
-  // Reusable per-lane scratch so batch evaluation does not reallocate the
-  // O(n) SSSP workspaces for every term of every pair. The engine is built
+  // Reusable per-lane scratch so term jobs do not reallocate the O(n)
+  // SSSP workspaces for every term of every pair. The engine is built
   // by MakeEngine() against the calculator's resolved backend; `sources`
   // holds one search's seeds (a bin, or every member of a bank cluster),
   // whichever side of the term the search starts from. `lanes` (128 B per
@@ -250,20 +256,26 @@ class SndCalculator {
     std::vector<SsspSource> sources;
   };
 
-  // Optional precomputed inputs for one term evaluation. Default
-  // (all null) means: compute edge costs locally, use a spare scratch,
-  // and parallelize the term's SSSPs on the shared pool when enabled.
+  // Optional precomputed inputs for one term evaluation. Default (no
+  // cache) means: compute the edge costs locally.
   struct TermContext {
     EdgeCostCache* cache = nullptr;  // With distance_state_index below.
     int32_t distance_state_index = -1;
-    TermScratch* scratch = nullptr;
   };
 
-  SndTermResult ComputeTermFast(const TermSpec& spec,
-                                const TermContext& ctx) const;
+  // One EMD* term, its searches run serially on `scratch`.
+  SndTermResult ComputeTermFast(const TermSpec& spec, const TermContext& ctx,
+                                TermScratch* scratch) const;
   SndTermResult ComputeTermReference(const TermSpec& spec) const;
   std::array<TermSpec, 4> MakeTermSpecs(const NetworkState& a,
                                         const NetworkState& b) const;
+
+  // Runs job(k, scratch) for every k in [0, num_jobs) on the shared pool,
+  // each on its lane's term scratch. Compute and BatchDistances make one
+  // job per (pair, term): the four terms of a pair are independent, so a
+  // single pair spreads over up to four pool threads.
+  void RunTermJobs(int64_t num_jobs,
+                   const std::function<void(int64_t, TermScratch*)>& job) const;
 
   // A fresh reusable engine for this calculator's graph/model (one per
   // scratch lane; engines are not thread-safe).

@@ -85,11 +85,10 @@ struct SndOptions {
   int32_t lp_max_iterations = 20;
   int32_t lp_min_community_size = 4;
 
-  // Fan the independent SSSPs of a term (one per origin on the side it
-  // searches from) out on the shared ThreadPool. Results are
-  // bitwise identical for any thread count; run with SND_THREADS=1 (or
+  // No field here selects threading: the four EMD* terms of a pair run
+  // as concurrent jobs on the shared ThreadPool, with results bitwise
+  // identical for any thread count. Run with SND_THREADS=1 (or
   // ThreadPool::SetGlobalThreads(1)) for strictly serial execution.
-  bool parallel_sssp = true;
 };
 
 }  // namespace snd

@@ -10,7 +10,8 @@
 // from bucket b reaches strictly past bucket b, so phases never reopen).
 //
 // Every round runs on the calling thread. Callers that want parallelism
-// run independent searches on separate engines, as the SND fan-out does.
+// run independent searches on separate engines, as SND's concurrent term
+// jobs do.
 #include <algorithm>
 
 #include "snd/obs/trace.h"

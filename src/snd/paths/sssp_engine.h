@@ -1,6 +1,6 @@
 // Pluggable single-source shortest-path engine layer.
 //
-// Every ground-distance consumer (the per-term SSSP fan-out of the reduced
+// Every ground-distance consumer (the per-term searches of the reduced
 // SND transportation problem, the dense reference matrix, cluster
 // diameters, the ICC model's distance-to-active-set) runs its searches
 // through the SsspEngine interface instead of a hard-wired algorithm:
@@ -14,8 +14,9 @@
 //  * DeltaSteppingEngine - Meyer & Sanders bucketed delta-stepping:
 //    buckets of width Delta keyed by floor(dist / Delta), light edges
 //    (cost <= Delta) relaxed in per-bucket rounds, heavy edges once per
-//    settled bucket. Rounds run sequentially on the calling thread; the
-//    SND fan-out gets its parallelism from one search per pool lane.
+//    settled bucket. Rounds run sequentially on the calling thread; SND
+//    gets its parallelism from one EMD* term per pool job, each on its
+//    lane's engine.
 //    The result is the unique shortest-path distances, bitwise
 //    identical to Dijkstra/Dial.
 //

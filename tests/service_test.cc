@@ -549,9 +549,6 @@ TEST(SndOptionsSignatureTest, EveryValueKnobChangesTheSignature) {
 
 TEST(SndOptionsSignatureTest, ThreadingKnobsLeaveTheSignatureAlone) {
   const std::string base = SndOptionsSignature(SndOptions{});
-  SndOptions options;
-  options.parallel_sssp = !options.parallel_sssp;
-  EXPECT_EQ(SndOptionsSignature(options), base);
   // --threads is returned beside the options, never inside them.
   const auto parsed = ParseSndFlags({"--threads=2"});
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();

@@ -8,6 +8,7 @@
 
 #include "snd/graph/generators.h"
 #include "snd/obs/trace.h"
+#include "snd/util/thread_pool.h"
 #include "test_util.h"
 
 namespace snd {
@@ -398,7 +399,7 @@ TEST(SndCalculatorTest, SearchesFromTheSideWithFewerOrigins) {
               1e-9 * (1.0 + result.value));
 }
 
-// Terms with at least 8 origins per fan-out lane run their searches in
+// Terms with at least 8 origins run their searches in
 // DialLaneEngine sweeps of up to 32 lanes: full sweeps, then a final
 // sweep when at least 8 origins remain, else one search per leftover
 // origin. The lanes hold exact integer distances, so no value may move.
@@ -437,6 +438,7 @@ TEST(SndCalculatorTest, BatchedSearchesKeepValuesBitwise) {
   };
   bool batched_tail = false;
   bool single_tail = false;
+  ThreadPool::SetGlobalThreads(1);
   for (const BatchedCase& c : kCases) {
     SCOPED_TRACE(c.name);
     const testing_util::BatchingCase input =
@@ -444,7 +446,6 @@ TEST(SndCalculatorTest, BatchedSearchesKeepValuesBitwise) {
     SndOptions options;
     options.bank_strategy = c.banks;
     options.banks_per_cluster = 2;
-    options.parallel_sssp = false;  // One fan-out lane at any pool size.
     const SndCalculator calc(&input.graph, options);
     ASSERT_EQ(calc.sssp_backend(), SsspBackend::kDial);
     obs::RequestTrace trace;
@@ -470,6 +471,7 @@ TEST(SndCalculatorTest, BatchedSearchesKeepValuesBitwise) {
     // A batch counts one search per lane.
     EXPECT_EQ(trace.sssp_runs.load(), searches);
   }
+  ThreadPool::SetGlobalThreads(ThreadPool::DefaultThreads());
   EXPECT_TRUE(batched_tail);
   EXPECT_TRUE(single_tail);
 }

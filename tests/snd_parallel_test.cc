@@ -15,6 +15,7 @@
 #include "snd/analysis/state_clustering.h"
 #include "snd/baselines/baselines.h"
 #include "snd/core/snd.h"
+#include "snd/obs/trace.h"
 #include "snd/paths/sssp_engine.h"
 #include "snd/util/random.h"
 #include "snd/util/thread_pool.h"
@@ -65,8 +66,9 @@ TEST_F(SndParallelTest, ComputeIsBitwiseIdenticalAcrossThreadCounts) {
 }
 
 // A skewed pair makes every term search from its bank side: per-bin
-// searches and per-cluster multi-source searches then fan out over the
-// pool, each writing its own columns (q lighter) or rows (p lighter).
+// searches and per-cluster multi-source searches, each writing its own
+// columns (q lighter) or rows (p lighter), while the four terms run as
+// concurrent pool jobs.
 TEST_F(SndParallelTest, BankSideSearchesAreBitwiseIdenticalAcrossThreadCounts) {
   Rng rng(16);
   const int32_t n = 120;
@@ -97,10 +99,10 @@ TEST_F(SndParallelTest, BankSideSearchesAreBitwiseIdenticalAcrossThreadCounts) {
   }
 }
 
-// MakeBatchingCase's terms search from 50-92 origins. At one thread
-// every term runs 32-lane sweeps; at four, every term has at least 8
-// origins per fan-out lane and runs one narrower sweep per lane on the
-// pool; BatchDistances (one pair per lane) runs 32-lane sweeps again.
+// MakeBatchingCase's terms search from 50-92 origins, so every term runs
+// 32-lane sweeps. At four threads Compute and BatchDistances run the four
+// terms as concurrent pool jobs, each term's sweeps on its own lane's
+// scratch.
 TEST_F(SndParallelTest, BatchedSearchesAreBitwiseIdenticalAcrossThreadCounts) {
   for (const bool directed : {false, true}) {
     const testing_util::BatchingCase input =
@@ -130,48 +132,122 @@ TEST_F(SndParallelTest, BatchedSearchesAreBitwiseIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST_F(SndParallelTest, TermsBelowEightOriginsPerFanOutLaneSearchPerOrigin) {
+// Passes of a term searched from `origins` origins: sweeps of
+// min(32, origins) lanes from 8 lanes up, a last sweep for a leftover of
+// at least 8, one search per other leftover origin.
+int32_t SerialPasses(int32_t origins) {
+  if (origins < 8) return origins;
+  const int32_t width = std::min(origins, 32);
+  const int32_t tail = origins % width;
+  return origins / width + (tail >= 8 ? 1 : tail);
+}
+
+// A term is one pool job and plans its passes alone, so the plan is the
+// serial one at every thread count.
+TEST_F(SndParallelTest, PassPlanDoesNotDependOnThreadCount) {
   const testing_util::BatchingCase input =
       testing_util::MakeBatchingCase(/*directed=*/false);
-  ThreadPool::SetGlobalThreads(8);
-  // Per-cluster banks: 50 and 58 origins, under 8 lanes x 8.
   SndOptions options;
-  options.bank_strategy = BankStrategy::kPerCluster;
   options.banks_per_cluster = 2;
-  const SndCalculator clustered(&input.graph, options);
-  for (const SndTermResult& term : clustered.Compute(input.a, input.b).terms) {
-    EXPECT_LT(term.num_searches, 8 * 8);
-    EXPECT_EQ(term.num_passes, term.num_searches);
-  }
-  // Per-bin banks: 73 and 88 origins, enough for every lane: one sweep
-  // of origins / 8 lanes per fan-out lane, plus one search per leftover.
-  options.bank_strategy = BankStrategy::kPerBin;
-  const SndCalculator per_bin(&input.graph, options);
-  for (const SndTermResult& term : per_bin.Compute(input.a, input.b).terms) {
-    EXPECT_GE(term.num_searches, 8 * 8);
-    const int32_t width = term.num_searches / 8;
-    EXPECT_EQ(term.num_passes, 8 + term.num_searches % width);
+  for (const BankStrategy banks :
+       {BankStrategy::kPerBin, BankStrategy::kPerCluster}) {
+    options.bank_strategy = banks;
+    const SndCalculator calc(&input.graph, options);
+    for (const int32_t threads : {1, 2, 4, 8}) {
+      ThreadPool::SetGlobalThreads(threads);
+      for (const SndTermResult& term : calc.Compute(input.a, input.b).terms) {
+        EXPECT_GE(term.num_searches, 8);
+        EXPECT_EQ(term.num_passes, SerialPasses(term.num_searches))
+            << BankStrategyName(banks) << " threads=" << threads;
+      }
+    }
   }
   // Only the Dial backend batches.
-  ThreadPool::SetGlobalThreads(1);
   options.sssp_backend = SsspBackend::kDijkstra;
   const SndCalculator dijkstra(&input.graph, options);
-  for (const SndTermResult& term : dijkstra.Compute(input.a, input.b).terms) {
-    EXPECT_EQ(term.num_passes, term.num_searches);
+  for (const int32_t threads : {1, 4}) {
+    ThreadPool::SetGlobalThreads(threads);
+    for (const SndTermResult& term : dijkstra.Compute(input.a, input.b).terms) {
+      EXPECT_EQ(term.num_passes, term.num_searches);
+    }
   }
 }
 
-TEST_F(SndParallelTest, SerialOptionMatchesParallelValue) {
-  Rng rng(12);
-  const Graph graph = RandomSymmetricGraph(60, 120, &rng);
-  const NetworkState a = RandomState(60, 0.4, &rng);
-  const NetworkState b = RandomState(60, 0.5, &rng);
-  SndOptions serial_options;
-  serial_options.parallel_sssp = false;
-  const SndCalculator serial_calc(&graph, serial_options);
-  const SndCalculator parallel_calc(&graph, SndOptions{});
-  EXPECT_EQ(serial_calc.Compute(a, b).value,
-            parallel_calc.Compute(a, b).value);
+// One pair on a multi-thread pool runs its four terms as concurrent jobs.
+// The value and every term cost must match the one-thread run bitwise: a
+// balanced pair, a pair where only positive opinions appear (both
+// negative terms are zero), and identical states.
+TEST_F(SndParallelTest, SinglePairTermJobsAreBitwiseIdenticalAcrossThreads) {
+  const testing_util::BatchingCase input =
+      testing_util::MakeBatchingCase(/*directed=*/true);
+  NetworkState positive_only = input.a;
+  for (int32_t u = 0; u < positive_only.num_users(); ++u) {
+    if (input.a.opinion(u) == Opinion::kNeutral &&
+        input.b.opinion(u) == Opinion::kPositive) {
+      positive_only.set_opinion(u, Opinion::kPositive);
+    }
+  }
+  const std::vector<NetworkState> states = {input.a, input.b, positive_only};
+  SndOptions options;
+  options.banks_per_cluster = 2;
+  const SndCalculator calc(&input.graph, options);
+  const StatePairs pairs = {{0, 1}, {0, 2}, {1, 1}};
+  for (const auto& [i, j] : pairs) {
+    SCOPED_TRACE("pair " + std::to_string(i) + "," + std::to_string(j));
+    const NetworkState& a = states[static_cast<size_t>(i)];
+    const NetworkState& b = states[static_cast<size_t>(j)];
+    ThreadPool::SetGlobalThreads(1);
+    const SndResult serial = calc.Compute(a, b);
+    const double serial_batch = calc.BatchDistances(states, {{i, j}})[0];
+    EXPECT_EQ(serial_batch, serial.value);
+    if (i == j) {
+      EXPECT_EQ(serial.value, 0.0);
+    } else if (j == 2) {
+      EXPECT_GT(serial.terms[0].cost, 0.0);
+      EXPECT_EQ(serial.terms[1].cost, 0.0);
+      EXPECT_GT(serial.terms[2].cost, 0.0);
+      EXPECT_EQ(serial.terms[3].cost, 0.0);
+    } else {
+      for (const SndTermResult& term : serial.terms) {
+        EXPECT_GT(term.cost, 0.0);
+      }
+    }
+    for (const int32_t threads : {2, 4, 8}) {
+      ThreadPool::SetGlobalThreads(threads);
+      const SndResult parallel = calc.Compute(a, b);
+      EXPECT_EQ(parallel.value, serial.value) << "threads=" << threads;
+      for (size_t k = 0; k < parallel.terms.size(); ++k) {
+        EXPECT_EQ(parallel.terms[k].cost, serial.terms[k].cost)
+            << "term " << k << " threads=" << threads;
+      }
+      EXPECT_EQ(calc.BatchDistances(states, {{i, j}})[0], serial_batch)
+          << "threads=" << threads;
+    }
+  }
+}
+
+// Term jobs run on pool threads report into the caller's RequestTrace:
+// a single pair counts the same work at four threads as at one.
+TEST_F(SndParallelTest, TermJobsReportIntoTheCallersTrace) {
+  const testing_util::BatchingCase input =
+      testing_util::MakeBatchingCase(/*directed=*/false);
+  const SndCalculator calc(&input.graph, SndOptions{});
+  ASSERT_EQ(calc.sssp_backend(), SsspBackend::kDial);
+  auto traced = [&](int32_t threads, obs::RequestTrace* trace) {
+    ThreadPool::SetGlobalThreads(threads);
+    const obs::TraceScope scope(trace);
+    return calc.Compute(input.a, input.b).value;
+  };
+  obs::RequestTrace serial;
+  obs::RequestTrace parallel;
+  EXPECT_EQ(traced(4, &parallel), traced(1, &serial));
+  EXPECT_GT(serial.sssp_runs.load(), 0);
+  EXPECT_EQ(serial.transport_solves.load(), 4);
+  EXPECT_GT(serial.backend_runs[obs::kSsspSlotDial].load(), 0);
+  EXPECT_EQ(parallel.sssp_runs.load(), serial.sssp_runs.load());
+  EXPECT_EQ(parallel.transport_solves.load(), serial.transport_solves.load());
+  EXPECT_EQ(parallel.backend_runs[obs::kSsspSlotDial].load(),
+            serial.backend_runs[obs::kSsspSlotDial].load());
 }
 
 TEST_F(SndParallelTest, AdjacentDistanceSeriesMatchesSinglePairCompute) {
@@ -397,8 +473,8 @@ TEST_F(SndParallelTest, AutoBackendResolvesAgainstModelCostBound) {
 
 TEST_F(SndParallelTest, DeltaSteppingIsExactInPoolLanes) {
   // DeltaSteppingEngines running concurrently in the lanes of a
-  // ParallelFor, as in the row-parallel ComputeTermFast fan-out, each
-  // return exact distances.
+  // ParallelFor, as in the concurrent term jobs of Compute and
+  // BatchDistances, each return exact distances.
   Rng rng(24);
   const int32_t n = 1500;
   const Graph graph = RandomSymmetricGraph(n, 12 * n, &rng);
@@ -430,7 +506,7 @@ TEST_F(SndParallelTest, DeltaSteppingIsExactInPoolLanes) {
   });
   EXPECT_EQ(mismatches.load(), 0);
 
-  // End to end: the row-parallel SND fast path with the delta backend
+  // End to end: the term-parallel SND fast path with the delta backend
   // completes (no deadlock) and matches the Dijkstra reference bitwise.
   const std::vector<NetworkState> states = MakeSeries(60, 4, &rng);
   const Graph small = RandomSymmetricGraph(60, 120, &rng);
